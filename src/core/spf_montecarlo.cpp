@@ -1,10 +1,8 @@
 #include "core/spf_montecarlo.hpp"
 
-#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/failure_predicate.hpp"
 
 namespace rnoc::core {
@@ -15,38 +13,28 @@ SpfMcResult monte_carlo_spf(const SpfMcConfig& cfg) {
       cfg.geometry, cfg.include_correction_sites &&
                         cfg.mode == RouterMode::Protected);
 
-  ThreadPool& pool = global_pool();
-  const std::size_t shards = pool.size();
-  std::vector<RunningStats> shard_stats(shards);
-
-  // Deterministic per-shard streams regardless of thread scheduling.
+  // One sample stream, independent of the pool size, so a result (and the
+  // committed goldens) never depends on the host's core count. Campaign
+  // points call this from pool workers, where a nested parallel_for would
+  // run inline anyway; the parallelism lives at the point level.
   Rng master(cfg.seed);
-  std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) shard_rngs.push_back(master.split());
-
-  const std::uint64_t per_shard = (cfg.trials + shards - 1) / shards;
-  pool.parallel_for(shards, [&](std::size_t shard, std::size_t) {
-    Rng rng = shard_rngs[shard];
-    RunningStats& stats = shard_stats[shard];
-    const std::uint64_t begin = shard * per_shard;
-    const std::uint64_t end = std::min(cfg.trials, begin + per_shard);
-    std::vector<fault::FaultSite> order = all_sites;
-    for (std::uint64_t t = begin; t < end; ++t) {
-      rng.shuffle(order);
-      fault::RouterFaultState state(cfg.geometry);
-      int injected = 0;
-      for (const auto& site : order) {
-        state.inject(site);
-        ++injected;
-        if (router_failed(state, cfg.mode)) break;
-      }
-      stats.add(static_cast<double>(injected));
+  Rng rng = master.split();
+  RunningStats stats;
+  std::vector<fault::FaultSite> order = all_sites;
+  for (std::uint64_t t = 0; t < cfg.trials; ++t) {
+    rng.shuffle(order);
+    fault::RouterFaultState state(cfg.geometry);
+    int injected = 0;
+    for (const auto& site : order) {
+      state.inject(site);
+      ++injected;
+      if (router_failed(state, cfg.mode)) break;
     }
-  });
+    stats.add(static_cast<double>(injected));
+  }
 
   SpfMcResult result;
-  for (const auto& s : shard_stats) result.faults_to_failure.merge(s);
+  result.faults_to_failure = stats;
   result.spf =
       result.faults_to_failure.mean() / (1.0 + cfg.area_overhead);
   return result;

@@ -31,8 +31,8 @@ struct SpfMcResult {
   double spf = 0.0;  ///< mean faults-to-failure / (1 + area overhead).
 };
 
-/// Runs the Monte-Carlo campaign (parallelized over the global thread pool;
-/// deterministic for a given seed and trial count).
+/// Runs the Monte-Carlo campaign on one sample stream (deterministic for a
+/// given seed and trial count, on any core count).
 SpfMcResult monte_carlo_spf(const SpfMcConfig& cfg);
 
 }  // namespace rnoc::core

@@ -5,10 +5,6 @@
 namespace rnoc::fault {
 namespace {
 
-/// Sites indexed per (type, port, vc). Layout: blocks per SiteType in
-/// declaration order; per-port types use vc 0 only.
-constexpr int kTypeCount = 10;
-
 bool type_is_correction(SiteType t) {
   switch (t) {
     case SiteType::RcSpare:
@@ -55,32 +51,52 @@ std::string to_string(const FaultSite& s) {
 
 RouterFaultState::RouterFaultState(const FaultGeometry& g) : geom_(g) {
   require(g.ports >= 2 && g.vcs >= 1, "RouterFaultState: bad geometry");
+  require(g.ports <= kMaxPorts && g.vcs <= kMaxVcs,
+          "RouterFaultState: geometry exceeds the 32-bit fault masks");
   require(g.vnets >= 1 && g.vcs % g.vnets == 0,
           "RouterFaultState: vcs must divide evenly into vnets");
-  faulty_.assign(static_cast<std::size_t>(kTypeCount) *
-                     static_cast<std::size_t>(g.ports) *
-                     static_cast<std::size_t>(g.vcs),
-                 false);
+  vc_mask_.assign(2 * static_cast<std::size_t>(g.ports), 0);
 }
 
 bool RouterFaultState::inject(const FaultSite& s) {
-  const std::size_t i = index_of(s.type, s.a, s.b);
-  if (faulty_[i]) return false;
-  faulty_[i] = true;
+  check(s.type, s.a, s.b);
+  std::uint32_t& ports = port_mask_[static_cast<std::size_t>(s.type)];
+  const std::uint32_t port_bit = 1u << static_cast<unsigned>(s.a);
+  if (type_uses_vc(s.type)) {
+    std::uint32_t& m = vc_mask_[vc_slot(s.type, s.a)];
+    const std::uint32_t bit = 1u << static_cast<unsigned>(s.b);
+    if (m & bit) return false;
+    m |= bit;
+  } else if (ports & port_bit) {
+    return false;
+  }
+  ports |= port_bit;
   ++count_;
   return true;
 }
 
 bool RouterFaultState::remove(const FaultSite& s) {
-  const std::size_t i = index_of(s.type, s.a, s.b);
-  if (!faulty_[i]) return false;
-  faulty_[i] = false;
+  check(s.type, s.a, s.b);
+  std::uint32_t& ports = port_mask_[static_cast<std::size_t>(s.type)];
+  const std::uint32_t port_bit = 1u << static_cast<unsigned>(s.a);
+  if (type_uses_vc(s.type)) {
+    std::uint32_t& m = vc_mask_[vc_slot(s.type, s.a)];
+    const std::uint32_t bit = 1u << static_cast<unsigned>(s.b);
+    if ((m & bit) == 0) return false;
+    m &= ~bit;
+    if (m == 0) ports &= ~port_bit;
+  } else if (ports & port_bit) {
+    ports &= ~port_bit;
+  } else {
+    return false;
+  }
   --count_;
   return true;
 }
 
 void RouterFaultState::clear() {
-  faulty_.assign(faulty_.size(), false);
+  port_mask_.fill(0);
+  vc_mask_.assign(vc_mask_.size(), 0);
   count_ = 0;
 }
 
@@ -94,7 +110,7 @@ std::vector<FaultSite> RouterFaultState::enumerate_sites(
     for (int p = 0; p < g.ports; ++p)
       for (int v = 0; v < g.vcs; ++v) sites.push_back({t, p, v});
   };
-  for (int ti = 0; ti < kTypeCount; ++ti) {
+  for (std::size_t ti = 0; ti < kTypeCount; ++ti) {
     const auto t = static_cast<SiteType>(ti);
     if (type_is_correction(t) && !include_correction) continue;
     if (t == SiteType::XbDemux) {

@@ -6,6 +6,7 @@
 // site stays faulty.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,19 +56,39 @@ struct FaultGeometry {
   int vnets = 1;
 };
 
-/// Per-router permanent-fault state: a bitset over all sites.
+/// Per-router permanent-fault state, held as bitmasks: per site type, a mask
+/// over ports (bit a set iff some site of that type at port a is faulty),
+/// plus, for the per-(port, vc) types, a mask over VCs per port. The checked
+/// has() serves tests and the reliability models; the router pipeline reads
+/// the masks directly.
 class RouterFaultState {
  public:
+  /// Geometry limits of the masks.
+  static constexpr int kMaxPorts = 32;
+  static constexpr int kMaxVcs = 32;
+
   explicit RouterFaultState(const FaultGeometry& g);
 
   const FaultGeometry& geometry() const { return geom_; }
 
-  /// Inline: this is the router pipeline's innermost predicate (called for
-  /// every candidate VC/port every cycle).
+  /// Bounds-checked site query (throws std::invalid_argument on a site
+  /// outside the geometry).
   bool has(SiteType t, int a, int b = 0) const {
-    return faulty_[index_of(t, a, b)];
+    check(t, a, b);
+    const std::uint32_t m = type_uses_vc(t) ? vc_mask(t, a) : port_mask(t);
+    return (m >> static_cast<unsigned>(type_uses_vc(t) ? b : a) & 1u) != 0;
   }
   bool has(const FaultSite& s) const { return has(s.type, s.a, s.b); }
+
+  /// Unchecked: bit a set iff some site of type t at port a is faulty.
+  std::uint32_t port_mask(SiteType t) const {
+    return port_mask_[static_cast<std::size_t>(t)];
+  }
+  /// Unchecked, per-(port, vc) types only: bit b set iff site (t, a, b) is
+  /// faulty. `a` must lie in the geometry.
+  std::uint32_t vc_mask(SiteType t, int a) const {
+    return vc_mask_[vc_slot(t, a)];
+  }
 
   /// Marks a site permanently faulty. Injecting an already-faulty site is a
   /// no-op that returns false.
@@ -87,20 +108,24 @@ class RouterFaultState {
                                                 bool include_correction);
 
  private:
-  std::size_t index_of(SiteType t, int a, int b) const {
+  static constexpr std::size_t kTypeCount =
+      static_cast<std::size_t>(SiteType::XbPSelect) + 1;
+
+  void check(SiteType t, int a, int b) const {
     require(a >= 0 && a < geom_.ports, "RouterFaultState: port out of range");
     require(b >= 0 && b < geom_.vcs, "RouterFaultState: vc out of range");
     require(type_uses_vc(t) || b == 0,
             "RouterFaultState: vc index on a per-port site");
-    const auto ti = static_cast<std::size_t>(t);
-    return (ti * static_cast<std::size_t>(geom_.ports) +
-            static_cast<std::size_t>(a)) *
-               static_cast<std::size_t>(geom_.vcs) +
-           static_cast<std::size_t>(b);
+  }
+  /// vc_mask_ holds the Va1ArbiterSet ports, then the Va2Arbiter ports.
+  std::size_t vc_slot(SiteType t, int a) const {
+    return static_cast<std::size_t>(
+        (t == SiteType::Va1ArbiterSet ? 0 : geom_.ports) + a);
   }
 
   FaultGeometry geom_;
-  std::vector<bool> faulty_;
+  std::array<std::uint32_t, kTypeCount> port_mask_{};
+  std::vector<std::uint32_t> vc_mask_;  ///< See vc_slot().
   int count_ = 0;
 };
 

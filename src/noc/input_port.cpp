@@ -158,4 +158,26 @@ void InputPort::reset_for_run() {
     for (int v = 0; v < vcs(); ++v) refresh_vc(v);
 }
 
+RouterVcMasks compute_vc_masks(const std::vector<InputPort>& inputs) {
+  require(inputs.size() <= static_cast<std::size_t>(RouterVcMasks::kMaxPorts),
+          "compute_vc_masks: too many ports");
+  RouterVcMasks m;
+  for (std::size_t p = 0; p < inputs.size(); ++p) {
+    const InputPort& ip = inputs[p];
+    require(ip.vcs() <= 32, "compute_vc_masks: masks need vcs <= 32");
+    for (int v = 0; v < ip.vcs(); ++v) {
+      const VirtualChannel& vc = ip.vc(v);
+      const std::uint32_t bit = 1u << static_cast<unsigned>(v);
+      if (vc.state == VcState::Routing) m.routing[p] |= bit;
+      if (vc.state == VcState::VcAlloc) m.vcalloc[p] |= bit;
+      if (vc.state == VcState::Active && !vc.buffer.empty()) m.ready[p] |= bit;
+    }
+    const std::uint32_t port_bit = 1u << static_cast<unsigned>(p);
+    if (m.routing[p] != 0) m.routing_ports |= port_bit;
+    if (m.vcalloc[p] != 0) m.vcalloc_ports |= port_bit;
+    if (m.ready[p] != 0) m.ready_ports |= port_bit;
+  }
+  return m;
+}
+
 }  // namespace rnoc::noc

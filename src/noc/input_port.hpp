@@ -76,17 +76,17 @@ struct VirtualChannel {
   void clear_borrow_fields();
 };
 
-/// Per-router aggregate of the pipeline-state VC masks the event core's
-/// allocator fast paths consult instead of scanning every VC of every port.
-/// Bit v of `routing[p]` / `vcalloc[p]` / `ready[p]` is set iff physical VC v
-/// of port p is in Routing / in VcAlloc / Active with a buffered flit. The
-/// `*_ports` summaries have bit p set iff the corresponding per-port mask is
-/// non-zero, so an idle stage costs one load. Owned by the Router behind a
-/// move-stable allocation; each InputPort holds a sink pointer plus its port
-/// index and keeps its slice exact on every VC mutation (InputPort::refresh_vc
-/// is idempotent — it recomputes one VC's bits from the current state). Only
-/// usable when vcs <= 32; routers with more VCs leave the sink unset and the
-/// event stages fall back to the scanning paths.
+/// Per-router aggregate of the pipeline-state VC masks the allocator stages
+/// iterate instead of scanning every VC of every port. Bit v of
+/// `routing[p]` / `vcalloc[p]` / `ready[p]` is set iff physical VC v of port
+/// p is in Routing / in VcAlloc / Active with a buffered flit. The `*_ports`
+/// summaries have bit p set iff the corresponding per-port mask is non-zero,
+/// so an idle stage costs one load. Owned by the Router behind a move-stable
+/// allocation; each InputPort holds a sink pointer plus its port index and
+/// keeps its slice exact on every VC mutation (InputPort::refresh_vc is
+/// idempotent — it recomputes one VC's bits from the current state). The
+/// FullSweep oracle instead recomputes the whole aggregate from scratch
+/// (compute_vc_masks) before each stage.
 struct RouterVcMasks {
   static constexpr int kMaxPorts = 8;
   std::uint32_t routing[kMaxPorts]{};
@@ -95,6 +95,8 @@ struct RouterVcMasks {
   std::uint32_t routing_ports = 0;
   std::uint32_t vcalloc_ports = 0;
   std::uint32_t ready_ports = 0;
+
+  friend bool operator==(const RouterVcMasks&, const RouterVcMasks&) = default;
 };
 
 /// An input port: `vcs` virtual channels of `depth` flits each, plus the
@@ -183,7 +185,7 @@ class InputPort {
   }
 
   /// Wires this port's slice of the router's VC-state mask aggregate.
-  /// nullptr (standalone or > 32 VCs) disables mask maintenance.
+  /// nullptr (standalone use) disables mask maintenance.
   void set_mask_sink(RouterVcMasks* m, int port);
 
   /// Recomputes VC `phys`'s bits in the mask aggregate from its current
@@ -248,9 +250,13 @@ class InputPort {
   int depth_;
   int buffered_ = 0;  ///< Flits across all VCs (kept exact by write/pop).
   NetCounters* counters_ = nullptr;
-  RouterVcMasks* masks_ = nullptr;  ///< Event-core state masks; see above.
+  RouterVcMasks* masks_ = nullptr;  ///< VC-state mask sink; see above.
   int port_ = -1;                   ///< This port's index in the sink.
   std::uint32_t port_bit_ = 0;      ///< 1 << port_, cached.
 };
+
+/// The mask aggregate of `inputs` (port p = inputs[p]) recomputed from the
+/// VCs' current states, independent of any maintained sink.
+RouterVcMasks compute_vc_masks(const std::vector<InputPort>& inputs);
 
 }  // namespace rnoc::noc

@@ -205,6 +205,9 @@ void NocChecker::check_router_states(Cycle now) {
   for (RouterEntry& e : routers_) {
     const Router& r = *e.router;
     const int vcs = r.vcs();
+    if (!(r.vc_masks() == r.fresh_vc_masks()))
+      fail("vc-masks", now, r.id(), -1, -1,
+           "maintained VC-state masks differ from the VCs' states");
     for (int p = 0; p < r.ports(); ++p) {
       const InputPort& ip = r.input_port(p);
       for (int v = 0; v < vcs; ++v) {

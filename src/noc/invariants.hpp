@@ -19,6 +19,9 @@
 //     (a head flit may legally reach VcAlloc the cycle it arrives, since
 //     buffer-write and RC execute in the same mesh step), and a VC in
 //     Routing/VcAlloc state must hold a head flit at its buffer front.
+//   * VC-state mask upkeep — each router's incrementally maintained
+//     RouterVcMasks (what the SA/VA/RC stages iterate) equal the masks
+//     recomputed from its VCs' states.
 //   * Switch-allocator post-conditions — the pending switch-traversal
 //     grants contain at most one grant per input port, per output port and
 //     per crossbar mux; every granted VC is Active, non-empty, and the

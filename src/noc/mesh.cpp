@@ -451,11 +451,22 @@ void Mesh::reset_flow_control() {
 
 void Mesh::step(Cycle now) {
   if (cfg_.core == SimCore::FullSweep) {
+    // The oracle: every router, every stage, every cycle, each mask-driven
+    // stage on VC-state masks recomputed from scratch.
     for (auto& r : routers_) r.step_accept(now);
     for (auto& r : routers_) r.step_st(now);
-    for (auto& r : routers_) r.step_sa(now);
-    for (auto& r : routers_) r.step_va(now);
-    for (auto& r : routers_) r.step_rc(now);
+    for (auto& r : routers_) {
+      r.rebuild_vc_masks();
+      r.step_sa(now);
+    }
+    for (auto& r : routers_) {
+      r.rebuild_vc_masks();
+      r.step_va(now);
+    }
+    for (auto& r : routers_) {
+      r.rebuild_vc_masks();
+      r.step_rc(now);
+    }
     for (auto& ni : nis_) ni.step(now);
     stepped_last_cycle_ = nodes();
 #ifdef RNOC_INVARIANTS
@@ -647,9 +658,9 @@ void Mesh::step_event_core(Cycle now) {
     }
   };
   for_each_active([&](Router& r) { r.step_st(now); });
-  for_each_active([&](Router& r) { r.step_sa_event(now); });
-  for_each_active([&](Router& r) { r.step_va_event(now); });
-  for_each_active([&](Router& r) { r.step_rc_event(now); });
+  for_each_active([&](Router& r) { r.step_sa(now); });
+  for_each_active([&](Router& r) { r.step_va(now); });
+  for_each_active([&](Router& r) { r.step_rc(now); });
   for (std::size_t w = 0; w < active_router_words_.size(); ++w) {
     std::uint64_t bits = active_router_words_[w];
     if (bits == 0) continue;

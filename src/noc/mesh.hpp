@@ -2,18 +2,22 @@
 //
 // The mesh offers three stepping cores (MeshConfig::core):
 //
-//  - FullSweep: the seed behaviour — every router, every stage, every
-//    cycle. Kept as the bit-identity oracle for the determinism tests.
+//  - FullSweep: every router, every stage, every cycle, with the VC-state
+//    masks the stages iterate recomputed from scratch before each stage.
+//    Kept as the bit-identity oracle for the determinism tests.
 //  - ActiveList: active-router scheduling — only routers with work
 //    (buffered flits, pending switch-traversal grants, or a link event due
 //    this cycle) and NIs with injection work are stepped. Quiescent
 //    components are re-woken exactly at the cycle a link event becomes
 //    takeable, so the schedule is bit-identical to the full sweep.
 //  - EventDriven (default): the ActiveList wake machinery plus per-stage
-//    event gating (link ready peeks, mask-based allocator fast paths) and
+//    event gating (link ready peeks, empty-mask stage skips) and
 //    stalled-router retirement; with Simulator's idle fast-forward it jumps
 //    the clock across cycles in which no component can make progress.
 //    Bit-identical to both other cores (test-enforced).
+//
+// All three cores drive the same per-stage Router functions; ActiveList and
+// EventDriven trust the incrementally maintained VC-state masks.
 //
 // Incremental accounting: a NetCounters instance shared with every link,
 // input port and NI makes flits_in_network(), packets_delivered() and

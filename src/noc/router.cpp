@@ -1,6 +1,7 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace rnoc::noc {
 
@@ -15,6 +16,10 @@ Router::Router(NodeId id, const MeshDims& dims, const RouterConfig& cfg)
       rc_rr_(kMeshPorts, 0) {
   require(id >= 0 && id < dims.nodes(), "Router: id outside mesh");
   require(cfg.vcs >= 1 && cfg.vc_depth >= 1, "Router: bad VC config");
+  // The allocators arbitrate on bitmasks; VA stage 2 packs every input VC
+  // of the router into one 64-bit request mask.
+  require(kMeshPorts * cfg.vcs <= 64,
+          "Router: at most 12 VCs per port (allocator request masks)");
   inputs_.reserve(kMeshPorts);
   // SA grants at most one input VC per output port, so kMeshPorts bounds
   // st_pending_; reserving here keeps the per-cycle push_backs in
@@ -22,11 +27,9 @@ Router::Router(NodeId id, const MeshDims& dims, const RouterConfig& cfg)
   st_pending_.reserve(kMeshPorts);
   for (int p = 0; p < kMeshPorts; ++p)
     inputs_.emplace_back(cfg.vcs, cfg.vc_depth);
-  if (cfg.vcs <= 32) {
-    vc_masks_ = std::make_unique<RouterVcMasks>();
-    for (int p = 0; p < kMeshPorts; ++p)
-      inputs_[static_cast<std::size_t>(p)].set_mask_sink(vc_masks_.get(), p);
-  }
+  vc_masks_ = std::make_unique<RouterVcMasks>();
+  for (int p = 0; p < kMeshPorts; ++p)
+    inputs_[static_cast<std::size_t>(p)].set_mask_sink(vc_masks_.get(), p);
   out_vcs_.assign(kMeshPorts, std::vector<OutVcState>(
                                   static_cast<std::size_t>(cfg.vcs),
                                   OutVcState{false, cfg.vc_depth}));
@@ -290,21 +293,10 @@ void Router::drain_credits_due(int p, Cycle now) {
 
 bool Router::step_cycle_event(Cycle now) {
   if (dead_) return false;
-  if (faults_.count() != 0 || vc_masks_ == nullptr) {
-    // Faulty (or mask-less) routers run every stage and never stall-retire:
-    // they are re-evaluated every cycle while they hold work, exactly like
-    // the stage-major path. Over-staying is always bit-identical — the
-    // stages are idempotent no-ops on a stalled router.
-    step_st(now);
-    step_sa_event(now);
-    step_va_event(now);
-    step_rc_event(now);
-    return has_pending_work();
-  }
-  // Fault-free masked fast path: each stage runs only when its mask says
-  // some VC is in that stage (the allocators early-return on empty masks,
-  // so the skip is exact), and `progressed` tracks whether any stage did
-  // something this cycle without summing the stats digest:
+  // Each stage runs only when its mask says some VC is in that stage (the
+  // stages early-return on empty masks, so the skip is exact), and
+  // `progressed` tracks whether any stage did something this cycle without
+  // summing the stats digest:
   //  - pending ST grants always traverse when fault-free (can_traverse is
   //    identically true), so entering ST with grants is progress;
   //  - SA progress is visible as new grants in st_pending_;
@@ -313,23 +305,26 @@ bool Router::step_cycle_event(Cycle now) {
   //  - a non-empty routing mask guarantees RC serves at least one VC
   //    (compute_route always counts as progress, Granted or not — a
   //    Blocked/Unreachable retry repeats every cycle, like the sweep).
-  // Retirement (return false) therefore fires exactly when the digest
-  // comparison would have found zero progress: a stalled fault-free router
-  // whose every un-stalling input (flit, credit, fault) arrives through a
-  // wake or delivery.
   bool progressed = !st_pending_.empty();
   if (progressed) step_st(now);
-  if (vc_masks_->ready_ports != 0) step_sa_event(now);
+  if (vc_masks_->ready_ports != 0) step_sa(now);
   if (vc_masks_->vcalloc_ports != 0) {
     const std::uint64_t va_before = stats_.va_allocations;
-    step_va_event(now);
+    step_va(now);
     progressed |= stats_.va_allocations != va_before;
   }
   if (vc_masks_->routing_ports != 0) {
-    step_rc_event(now);
+    step_rc(now);
     progressed = true;
   }
-  if (!st_pending_.empty()) return true;
+  // Faulty routers never stall-retire: they are re-evaluated every cycle
+  // while they hold work, exactly like the stage-major path. Over-staying is
+  // always bit-identical — the stages are idempotent no-ops on a stalled
+  // router. A fault-free router retires (return false) exactly when the
+  // digest comparison would have found zero progress: a stalled router
+  // whose every un-stalling input (flit, credit, fault) arrives through a
+  // wake or delivery.
+  if (faults_.count() != 0 || !st_pending_.empty()) return has_pending_work();
   return progressed && has_pending_work();
 }
 
@@ -390,31 +385,15 @@ void Router::step_st(Cycle now) {
 
 void Router::step_sa(Cycle now) {
   if (dead_) return;
-  sa_.step(now, inputs_, out_vcs_, faults_, stats_, st_pending_);
+  sa_.step(now, inputs_, out_vcs_, faults_, *vc_masks_, stats_, st_pending_);
 }
 
 void Router::step_va(Cycle now) {
   if (dead_) return;
-  va_.step(now, inputs_, out_vcs_, faults_, stats_);
+  va_.step(now, inputs_, out_vcs_, faults_, *vc_masks_, stats_);
 }
 
-void Router::step_sa_event(Cycle now) {
-  if (dead_) return;
-  if (faults_.count() != 0 || vc_masks_ == nullptr || !sa_.mask_capable()) {
-    sa_.step(now, inputs_, out_vcs_, faults_, stats_, st_pending_);
-    return;
-  }
-  sa_.step_event(now, inputs_, out_vcs_, stats_, st_pending_, *vc_masks_);
-}
-
-void Router::step_va_event(Cycle now) {
-  if (dead_) return;
-  if (faults_.count() != 0 || vc_masks_ == nullptr || !va_.mask_capable()) {
-    va_.step(now, inputs_, out_vcs_, faults_, stats_);
-    return;
-  }
-  va_.step_event(now, inputs_, out_vcs_, stats_, *vc_masks_);
-}
+void Router::rebuild_vc_masks() { *vc_masks_ = fresh_vc_masks(); }
 
 int Router::free_credits(int out) const {
   int total = 0;
@@ -429,18 +408,21 @@ bool Router::try_output(VirtualChannel& vc, int out) {
   vc.sp = -1;
   vc.fsp = false;
   if (faults_.count() == 0) return true;  // Primary path trivially works.
-  const bool primary_ok = !faults_.has(SiteType::XbMux, out) &&
-                          !faults_.has(SiteType::Sa2Arbiter, out);
+  // A mux is unusable when it or its stage-2 arbiter is dead.
+  const std::uint32_t mux_dead = faults_.port_mask(SiteType::XbMux) |
+                                 faults_.port_mask(SiteType::Sa2Arbiter);
+  const bool primary_ok = (mux_dead >> static_cast<unsigned>(out) & 1u) == 0;
   if (cfg_.mode != core::RouterMode::Protected) return primary_ok;
-  if (faults_.has(SiteType::XbPSelect, out)) return false;
+  if (faults_.port_mask(SiteType::XbPSelect) >> static_cast<unsigned>(out) & 1u)
+    return false;
   if (primary_ok) return true;
   // Secondary-path determination (paper §V-D): if the regular path to `out`
   // is unreachable, point SP at the neighbouring mux and set FSP.
   const int sec = core::secondary_mux_for_output(out, kMeshPorts);
-  const bool secondary_ok = !faults_.has(SiteType::XbMux, sec) &&
-                            !faults_.has(SiteType::Sa2Arbiter, sec) &&
-                            !faults_.has(SiteType::XbDemux, sec);
-  if (!secondary_ok) return false;
+  if ((mux_dead | faults_.port_mask(SiteType::XbDemux)) >>
+          static_cast<unsigned>(sec) &
+      1u)
+    return false;
   vc.sp = sec;
   vc.fsp = true;
   return true;
@@ -452,9 +434,10 @@ RcOutcome Router::compute_route(VirtualChannel& vc, const Flit& head,
   (void)now;  // Consumed by the self-heal path / traced builds only.
   using fault::SiteType;
   // Select a working RC unit for this input port (paper §V-A).
-  if (faults_.count() != 0 && faults_.has(SiteType::RcPrimary, in_port)) {
+  const unsigned port_bit = 1u << static_cast<unsigned>(in_port);
+  if (faults_.port_mask(SiteType::RcPrimary) & port_bit) {
     if (cfg_.mode == core::RouterMode::Baseline ||
-        faults_.has(SiteType::RcSpare, in_port))
+        (faults_.port_mask(SiteType::RcSpare) & port_bit))
       return RcOutcome::Blocked;
     ++stats_.rc_spare_uses;
   }
@@ -578,94 +561,24 @@ RcOutcome Router::compute_route(VirtualChannel& vc, const Flit& head,
 void Router::step_rc(Cycle now) {
   if (dead_) return;
   // One RC computation per input port per cycle (one RC unit per port),
-  // round-robin over the VCs waiting in Routing state.
-  for (int p = 0; p < kMeshPorts; ++p) {
+  // round-robin over the VCs waiting in Routing state. A port with no
+  // Routing VC does nothing (the round-robin pointer only moves when a VC
+  // is served), so only ports in the routing mask are visited.
+  for (std::uint32_t pm = vc_masks_->routing_ports; pm != 0; pm &= pm - 1) {
+    const int p = std::countr_zero(pm);
     InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-    // Routing state implies a buffered head flit; an empty port has no RC
-    // work and its round-robin pointer only moves when a VC is served.
-    if (ip.buffered_flits() == 0) continue;
     int& ptr = rc_rr_[static_cast<std::size_t>(p)];
 #ifdef RNOC_TRACE
-    int routing_vcs = 0;
     if (obs_) {
-      for (int i = 0; i < cfg_.vcs; ++i)
-        if (ip.vc(i).state == VcState::Routing) ++routing_vcs;
-      if (routing_vcs != 0) {
-        obs_->metrics().add_request(id_, obs::Stage::Rc,
-                                    static_cast<std::uint64_t>(routing_vcs));
-        // The single per-port RC unit serves exactly one VC; the rest never
-        // reach it this cycle.
-        if (routing_vcs > 1)
-          obs_->metrics().add_stall(id_, obs::Stage::Rc,
-                                    obs::StallCause::Starved,
-                                    static_cast<std::uint64_t>(routing_vcs - 1));
-      }
-    }
-#endif
-    for (int i = 0; i < cfg_.vcs; ++i) {
-      const int v = (ptr + i) % cfg_.vcs;
-      VirtualChannel& vc = ip.vc(v);
-      if (vc.state != VcState::Routing) continue;
-      require(!vc.buffer.empty() && vc.buffer.front().is_head(),
-              "Router::step_rc: Routing VC without a head flit");
-      const RcOutcome outcome = compute_route(vc, vc.buffer.front(), p, v, now);
-      if (outcome == RcOutcome::Granted) {
-        vc.state = VcState::VcAlloc;
-        ip.refresh_vc(v);
-#ifdef RNOC_TRACE
-        if (obs_) {
-          obs_->metrics().add_grant(id_, obs::Stage::Rc);
-          obs_->on_event(obs::EventKind::Rc, now, vc.buffer.front().packet,
-                         id_, p, v);
-        }
-#endif
-      } else {
-        ++stats_.blocked_vc_cycles;
-#ifdef RNOC_TRACE
-        if (obs_) {
-          obs_->metrics().add_stall(id_, obs::Stage::Rc,
-                                    outcome == RcOutcome::Unreachable
-                                        ? obs::StallCause::RouterDead
-                                        : obs::StallCause::FaultBlocked);
-          obs_->on_event(obs::EventKind::FaultBlock, now,
-                         vc.buffer.front().packet, id_, p, v);
-        }
-#endif
-      }
-      ptr = (v + 1) % cfg_.vcs;
-      break;
-    }
-  }
-}
-
-void Router::step_rc_event(Cycle now) {
-  if (dead_) return;
-  // Identical to step_rc (including under faults: compute_route carries the
-  // RC-unit fault logic internally). Ports are pre-filtered through the
-  // routing mask where available — a port with no Routing VC does nothing in
-  // step_rc (the round-robin scan finds no candidate and the pointer only
-  // moves when a VC is served), so the skip is exact — and the round-robin
-  // modulo is replaced by conditional subtraction.
-  const std::uint32_t routing_ports =
-      vc_masks_ != nullptr ? vc_masks_->routing_ports : ~0u;
-  for (int p = 0; p < kMeshPorts; ++p) {
-    if ((routing_ports >> static_cast<unsigned>(p) & 1u) == 0) continue;
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-    if (ip.buffered_flits() == 0) continue;
-    int& ptr = rc_rr_[static_cast<std::size_t>(p)];
-#ifdef RNOC_TRACE
-    int routing_vcs = 0;
-    if (obs_) {
-      for (int i = 0; i < cfg_.vcs; ++i)
-        if (ip.vc(i).state == VcState::Routing) ++routing_vcs;
-      if (routing_vcs != 0) {
-        obs_->metrics().add_request(id_, obs::Stage::Rc,
-                                    static_cast<std::uint64_t>(routing_vcs));
-        if (routing_vcs > 1)
-          obs_->metrics().add_stall(id_, obs::Stage::Rc,
-                                    obs::StallCause::Starved,
-                                    static_cast<std::uint64_t>(routing_vcs - 1));
-      }
+      const int routing_vcs = std::popcount(vc_masks_->routing[p]);
+      obs_->metrics().add_request(id_, obs::Stage::Rc,
+                                  static_cast<std::uint64_t>(routing_vcs));
+      // The single per-port RC unit serves exactly one VC; the rest never
+      // reach it this cycle.
+      if (routing_vcs > 1)
+        obs_->metrics().add_stall(id_, obs::Stage::Rc,
+                                  obs::StallCause::Starved,
+                                  static_cast<std::uint64_t>(routing_vcs - 1));
     }
 #endif
     for (int i = 0; i < cfg_.vcs; ++i) {

@@ -85,22 +85,32 @@ class Router {
   void attach_input(int port, Link* link);
   void attach_output(int port, Link* link);
 
+  /// One function per pipeline stage, driven by every simulator core. SA,
+  /// VA and RC visit only the ports/VCs set in the VC-state masks and read
+  /// faults through the fault-state masks, so a faulted router runs the
+  /// same masked stages as a fault-free one.
   void step_accept(Cycle now);
   void step_st(Cycle now);
   void step_sa(Cycle now);
   void step_va(Cycle now);
   void step_rc(Cycle now);
 
-  /// Event-core stage variants: bit-identical to the step_* counterparts.
-  /// step_accept_event consults the links' next_flit_ready / next_credit_ready
-  /// peeks so idle ports cost two compares; the SA/VA/RC variants consult the
-  /// VC-state mask aggregate so only ports with eligible VCs are visited,
-  /// falling back to the full fault-aware step whenever this router carries
-  /// any fault (or has too many VCs for the masks).
+  /// Event-core accept stage: bit-identical to step_accept, but consults
+  /// the links' next_flit_ready / next_credit_ready peeks so idle ports
+  /// cost two compares.
   void step_accept_event(Cycle now);
-  void step_sa_event(Cycle now);
-  void step_va_event(Cycle now);
-  void step_rc_event(Cycle now);
+
+  /// FullSweep oracle: overwrites the incrementally maintained VC-state
+  /// masks with masks recomputed from the VCs' states. Called before each
+  /// mask-driven stage, so the oracle never depends on the upkeep the other
+  /// cores rely on, and any upkeep slip shows up as a cross-core mismatch.
+  void rebuild_vc_masks();
+
+  /// The incrementally maintained VC-state masks, and the same masks
+  /// recomputed from the VCs' current states (the two must always agree;
+  /// the invariant checker compares them every cycle).
+  const RouterVcMasks& vc_masks() const { return *vc_masks_; }
+  RouterVcMasks fresh_vc_masks() const { return compute_vc_masks(inputs_); }
 
   /// Delivery-event entry points (event core): called by the Mesh when a
   /// link's scheduled delivery cycle arrives, instead of scanning every
@@ -114,13 +124,15 @@ class Router {
   void drain_credits_due(int p, Cycle now);
 
   /// Fused event-core cycle: runs ST -> SA -> VA -> RC (the post-accept
-  /// stages; deliveries were already dispatched by the Mesh) and evaluates
-  /// the retirement condition in one pass. Returns true when the router must
-  /// stay active next cycle: it holds pending work AND (grants are pending,
-  /// a fault is present, or some stage made progress this cycle). A stalled
-  /// fault-free router whose digest did not change is a provable no-op until
-  /// the next wake. The stages only touch router-local state and push onto
-  /// links whose deliveries mature next cycle, so fusing per router is
+  /// stages; deliveries were already dispatched by the Mesh), skipping each
+  /// stage whose mask is empty, and evaluates the retirement condition in
+  /// one pass. Faulted and fault-free routers run the same masked stages.
+  /// Returns true when the router must stay active next cycle: it holds
+  /// pending work AND (grants are pending, a fault is present, or some
+  /// stage made progress this cycle). A stalled fault-free router whose
+  /// digest did not change is a provable no-op until the next wake. The
+  /// stages only touch router-local state and push onto links whose
+  /// deliveries mature next cycle, so fusing per router is
   /// order-equivalent to the sweep's stage-major order.
   bool step_cycle_event(Cycle now);
 
@@ -241,17 +253,15 @@ class Router {
 
   /// True when this router must be stepped next cycle even absent new link
   /// events: it holds buffered flits (retries, blocked VCs, SA competition)
-  /// or switch-traversal grants issued by the previous SA stage. With the
-  /// VC-state masks wired, "some flit buffered" is equivalent to "some VC in
-  /// Routing, VcAlloc, or non-empty Active" (a non-empty VC is never Idle:
-  /// a head write leaves Idle and the tail pop returns to it), so the check
-  /// is two loads instead of a walk over every input port.
+  /// or switch-traversal grants issued by the previous SA stage. "Some flit
+  /// buffered" is equivalent to "some VC in Routing, VcAlloc, or non-empty
+  /// Active" (a non-empty VC is never Idle: a head write leaves Idle and the
+  /// tail pop returns to it), so the check is two loads instead of a walk
+  /// over every input port.
   bool has_pending_work() const {
     if (!st_pending_.empty()) return true;
-    if (vc_masks_ != nullptr)
-      return (vc_masks_->routing_ports | vc_masks_->vcalloc_ports |
-              vc_masks_->ready_ports) != 0;
-    return buffered_flits() > 0;
+    return (vc_masks_->routing_ports | vc_masks_->vcalloc_ports |
+            vc_masks_->ready_ports) != 0;
   }
 
   /// Shared accounting sink for this router's input buffers (set by the
@@ -286,9 +296,8 @@ class Router {
   NodeId id_;
   MeshDims dims_;
   RouterConfig cfg_;
-  /// VC pipeline-state masks for the event core's allocator fast paths.
-  /// Heap-allocated so the input ports' sink pointers survive a Router move;
-  /// null when cfg_.vcs > 32 (the event stages then use the scanning paths).
+  /// VC pipeline-state masks the SA/VA/RC stages iterate. Heap-allocated so
+  /// the input ports' sink pointers survive a Router move.
   std::unique_ptr<RouterVcMasks> vc_masks_;
   std::vector<InputPort> inputs_;
   std::vector<std::vector<OutVcState>> out_vcs_;  ///< [port][logical vc]

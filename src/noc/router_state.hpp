@@ -62,6 +62,8 @@ struct RouterStats {
     escape_reroutes += o.escape_reroutes;
     flits_dropped += o.flits_dropped;
   }
+
+  friend bool operator==(const RouterStats&, const RouterStats&) = default;
 };
 
 }  // namespace rnoc::noc

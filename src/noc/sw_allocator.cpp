@@ -14,9 +14,9 @@ SwitchAllocator::SwitchAllocator(int ports, int vcs, core::RouterMode mode,
     stage1_.emplace_back(vcs);
     stage2_.emplace_back(ports);
   }
+  require(ports <= 32 && vcs <= 32,
+          "SwitchAllocator: geometry exceeds the 32-bit request masks");
   w1_.resize(static_cast<std::size_t>(ports), -1);
-  ready_.resize(static_cast<std::size_t>(vcs), false);
-  req_.resize(static_cast<std::size_t>(ports), false);
   mux_req_.resize(static_cast<std::size_t>(ports), 0);
 #ifdef RNOC_TRACE
   obs_pending_.resize(static_cast<std::size_t>(ports * vcs), 0);
@@ -51,29 +51,28 @@ RoundRobinArbiter& SwitchAllocator::stage2(int out_port) {
 
 bool SwitchAllocator::crossbar_path_ok(
     VirtualChannel& vc, const fault::RouterFaultState& faults) const {
-  // Fault-free fast path. A stale FSP (from an expired transient fault)
-  // keeps pointing at the secondary path, exactly as the full evaluation
-  // below would re-derive it.
-  if (faults.count() == 0) return true;
-  const int out = vc.route;
   using fault::SiteType;
-  const bool primary_ok = !faults.has(SiteType::XbMux, out) &&
-                          !faults.has(SiteType::Sa2Arbiter, out);
+  const unsigned out = static_cast<unsigned>(vc.route);
+  // A mux is unusable when it or its stage-2 arbiter is dead.
+  const std::uint32_t mux_dead = faults.port_mask(SiteType::XbMux) |
+                                 faults.port_mask(SiteType::Sa2Arbiter);
+  const bool primary_ok = (mux_dead >> out & 1u) == 0;
   if (mode_ == core::RouterMode::Baseline) {
     // The generic crossbar has exactly one path per output port.
     return primary_ok;
   }
   // Every flit leaves through the output-select mux P_out; its fault is
   // uncoverable (paper §VIII-D).
-  if (faults.has(SiteType::XbPSelect, out)) return false;
+  if (faults.port_mask(SiteType::XbPSelect) >> out & 1u) return false;
   if (!vc.fsp && primary_ok) return true;
   // Need (or already committed to) the secondary path. The RC unit normally
   // sets SP/FSP (paper §V-D); a fault that appears after RC ran is resolved
   // here the same way.
-  const int sec = core::secondary_mux_for_output(out, ports_);
-  const bool secondary_ok = !faults.has(SiteType::XbMux, sec) &&
-                            !faults.has(SiteType::Sa2Arbiter, sec) &&
-                            !faults.has(SiteType::XbDemux, sec);
+  const int sec = core::secondary_mux_for_output(vc.route, ports_);
+  const bool secondary_ok =
+      ((mux_dead | faults.port_mask(SiteType::XbDemux)) >>
+           static_cast<unsigned>(sec) &
+       1u) == 0;
   if (!secondary_ok) {
     // Fall back to the primary path if it still works (e.g. stale FSP from
     // a fault combination that no longer lets the secondary work).
@@ -89,28 +88,79 @@ bool SwitchAllocator::crossbar_path_ok(
   return true;
 }
 
+int SwitchAllocator::bypass_stage1(Cycle now, InputPort& port, int p,
+                                   std::uint64_t ready, std::uint32_t occupied,
+                                   const fault::RouterFaultState& faults,
+                                   RouterStats& stats) {
+  const std::uint32_t bypass_dead =
+      faults.port_mask(fault::SiteType::Sa1Bypass);
+  if (mode_ == core::RouterMode::Baseline ||
+      (bypass_dead >> static_cast<unsigned>(p) & 1u)) {
+    // No (working) bypass: every ready VC is stuck at switch allocation.
+    for (; ready != 0; ready &= ready - 1) {
+      ++stats.blocked_vc_cycles;
+#ifdef RNOC_TRACE
+      const int v = std::countr_zero(ready);
+      obs_pending_[static_cast<std::size_t>(p * vcs_ + v)] = 0;
+      --obs_npending_;
+      if (obs_) {
+        obs_->metrics().add_stall(router_, obs::Stage::Sa,
+                                  obs::StallCause::FaultBlocked);
+        obs_->on_event(obs::EventKind::FaultBlock, now,
+                       port.vc(v).buffer.front().packet, router_, p, v);
+      }
+#endif
+    }
+    return -1;
+  }
+  // Bypass path (paper §V-C1): the rotating default winner is granted
+  // without arbitration. If the default winner VC is empty while another
+  // VC of this port holds flits, the packet (flits + state fields) of the
+  // lowest such VC is transferred into it, costing this cycle.
+  const int d = default_winner(now);
+  if (ready >> static_cast<unsigned>(d) & 1u) {
+    ++stats.sa1_bypass_grants;
+    return d;
+  }
+  const VirtualChannel& dvc = port.vc(d);
+  if (dvc.state == VcState::Idle && dvc.empty()) {
+    // `occupied` is never empty (the port has ready-mask bits) and never
+    // holds the Idle default winner.
+    port.transfer(std::countr_zero(occupied), d);
+    ++stats.sa1_transfers;
+  }
+  // Default winner not ready: no grant this cycle.
+  return -1;
+}
+
 void SwitchAllocator::step(Cycle now, std::vector<InputPort>& inputs,
                            std::vector<std::vector<OutVcState>>& out_vcs,
                            const fault::RouterFaultState& faults,
-                           RouterStats& stats, std::vector<StGrant>& grants) {
-  using fault::SiteType;
+                           const RouterVcMasks& masks, RouterStats& stats,
+                           std::vector<StGrant>& grants) {
   grants.clear();
-  const bool no_faults = faults.count() == 0;
+  // The state masks are exact (bit v of ready[p] <=> VC v of port p is
+  // Active with a buffered flit), so iterating their set bits ascending
+  // visits exactly the VCs that can request, in port/VC order. A port with
+  // no such VC has no readiness, no bypass grant and no transferable
+  // packet, so skipping it is exact. Mux request slots are lazily cleared
+  // on first use, so a cycle's cost never includes ports that requested
+  // nothing.
+  if (masks.ready_ports == 0) return;
+  const bool faulted = faults.count() != 0;
+  const std::uint32_t sa1_dead =
+      faulted ? faults.port_mask(fault::SiteType::Sa1Arbiter) : 0;
+  std::uint32_t mux_mask = 0;
 
   // --- Stage 1: one winning VC per input port. ---
-  bool any_winner = false;
-  for (int p = 0; p < ports_; ++p) {
-    w1_[static_cast<std::size_t>(p)] = -1;
+  for (std::uint32_t pm = masks.ready_ports; pm != 0; pm &= pm - 1) {
+    const int p = std::countr_zero(pm);
     InputPort& port = inputs[static_cast<std::size_t>(p)];
-    // A port with no buffered flits has no Active non-empty VC: no readiness,
-    // no bypass grant, no transferable packet. Skipping it is exact (arbiter
-    // pointers only move on grants, which require a ready VC).
-    if (port.buffered_flits() == 0) continue;
-    std::fill(ready_.begin(), ready_.end(), false);
-    bool any_ready = false;
-    for (int v = 0; v < vcs_; ++v) {
+    const std::uint32_t occupied = masks.ready[p];
+    std::uint64_t ready = 0;
+    for (std::uint32_t vm = occupied; vm != 0; vm &= vm - 1) {
+      const int v = std::countr_zero(vm);
       VirtualChannel& vc = port.vc(v);
-      if (vc.state != VcState::Active || vc.buffer.empty()) continue;
 #ifdef RNOC_TRACE
       if (obs_) obs_->metrics().add_request(router_, obs::Stage::Sa);
 #endif
@@ -125,7 +175,10 @@ void SwitchAllocator::step(Cycle now, std::vector<InputPort>& inputs,
 #endif
         continue;
       }
-      if (!crossbar_path_ok(vc, faults)) {
+      // Fault-free, the path always works: a stale FSP from an expired
+      // transient fault is honoured by the fsp ? sp : route mux selection,
+      // exactly as the full evaluation would re-derive it.
+      if (faulted && !crossbar_path_ok(vc, faults)) {
         ++stats.blocked_vc_cycles;
 #ifdef RNOC_TRACE
         if (obs_) {
@@ -137,176 +190,6 @@ void SwitchAllocator::step(Cycle now, std::vector<InputPort>& inputs,
 #endif
         continue;
       }
-      ready_[static_cast<std::size_t>(v)] = true;
-      any_ready = true;
-#ifdef RNOC_TRACE
-      if (!obs_pending_[static_cast<std::size_t>(p * vcs_ + v)]) {
-        obs_pending_[static_cast<std::size_t>(p * vcs_ + v)] = 1;
-        ++obs_npending_;
-      }
-#endif
-    }
-
-    if (no_faults || !faults.has(SiteType::Sa1Arbiter, p)) {
-      if (any_ready) {
-        const int w = stage1(p).arbitrate(ready_);
-        w1_[static_cast<std::size_t>(p)] = w;
-        any_winner = true;
-      }
-      continue;
-    }
-    if (mode_ == core::RouterMode::Baseline) {
-      // No bypass: every ready VC is stuck at switch allocation.
-      for (int v = 0; v < vcs_; ++v) {
-        if (!ready_[static_cast<std::size_t>(v)]) continue;
-        ++stats.blocked_vc_cycles;
-#ifdef RNOC_TRACE
-        obs_pending_[static_cast<std::size_t>(p * vcs_ + v)] = 0;
-        --obs_npending_;
-        if (obs_) {
-          obs_->metrics().add_stall(router_, obs::Stage::Sa,
-                                    obs::StallCause::FaultBlocked);
-          obs_->on_event(obs::EventKind::FaultBlock, now,
-                         port.vc(v).buffer.front().packet, router_, p, v);
-        }
-#endif
-      }
-      continue;
-    }
-    if (faults.has(SiteType::Sa1Bypass, p)) {
-      for (int v = 0; v < vcs_; ++v) {
-        if (!ready_[static_cast<std::size_t>(v)]) continue;
-        ++stats.blocked_vc_cycles;
-#ifdef RNOC_TRACE
-        obs_pending_[static_cast<std::size_t>(p * vcs_ + v)] = 0;
-        --obs_npending_;
-        if (obs_) {
-          obs_->metrics().add_stall(router_, obs::Stage::Sa,
-                                    obs::StallCause::FaultBlocked);
-          obs_->on_event(obs::EventKind::FaultBlock, now,
-                         port.vc(v).buffer.front().packet, router_, p, v);
-        }
-#endif
-      }
-      continue;
-    }
-    // Bypass path (paper §V-C1): the rotating default winner is granted
-    // without arbitration. If the default winner VC is empty while another
-    // VC of this port holds flits, the packet (flits + state fields) is
-    // transferred into it, costing this cycle.
-    const int d = default_winner(now);
-    if (ready_[static_cast<std::size_t>(d)]) {
-      w1_[static_cast<std::size_t>(p)] = d;
-      any_winner = true;
-      ++stats.sa1_bypass_grants;
-      continue;
-    }
-    VirtualChannel& dvc = port.vc(d);
-    if (dvc.state == VcState::Idle && dvc.empty()) {
-      for (int v = 0; v < vcs_; ++v) {
-        VirtualChannel& src = port.vc(v);
-        if (v == d || src.state != VcState::Active || src.empty()) continue;
-        port.transfer(v, d);
-        ++stats.sa1_transfers;
-        break;
-      }
-    }
-    // Default winner not ready and no transfer possible: no grant this cycle.
-  }
-#ifdef RNOC_TRACE
-  if (!any_winner) {
-    obs_flush_pending();
-    return;
-  }
-#else
-  if (!any_winner) return;
-#endif
-
-  // --- Stage 2: one grant per output mux/arbiter. ---
-  for (int m = 0; m < ports_; ++m) {
-    if (!no_faults && faults.has(SiteType::Sa2Arbiter, m))
-      continue;  // Arbiter is dead.
-    bool any = false;
-    for (int p = 0; p < ports_; ++p) {
-      const int v = w1_[static_cast<std::size_t>(p)];
-      bool wants = false;
-      if (v >= 0) {
-        const VirtualChannel& vc = inputs[static_cast<std::size_t>(p)].vc(v);
-        wants = (vc.fsp ? vc.sp : vc.route) == m;
-      }
-      req_[static_cast<std::size_t>(p)] = wants;
-      any = any || wants;
-    }
-    if (!any) continue;
-    const int g = stage2(m).arbitrate(req_);
-    if (g < 0) continue;
-    const int v = w1_[static_cast<std::size_t>(g)];
-    VirtualChannel& vc = inputs[static_cast<std::size_t>(g)].vc(v);
-    grants.push_back({g, v, vc.route, m, vc.out_vc});
-    --out_vcs[static_cast<std::size_t>(vc.route)]
-             [static_cast<std::size_t>(vc.out_vc)]
-          .credits;
-    if (m != vc.route) ++stats.xb_secondary_traversals;
-#ifdef RNOC_TRACE
-    if (obs_pending_[static_cast<std::size_t>(g * vcs_ + v)]) {
-      obs_pending_[static_cast<std::size_t>(g * vcs_ + v)] = 0;
-      --obs_npending_;
-    }
-    if (obs_) {
-      obs_->metrics().add_grant(router_, obs::Stage::Sa);
-      if (vc.buffer.front().is_head())
-        obs_->on_event(obs::EventKind::Sa, now, vc.buffer.front().packet,
-                       router_, g, v);
-    }
-#endif
-  }
-#ifdef RNOC_TRACE
-  obs_flush_pending();
-#endif
-}
-
-void SwitchAllocator::step_event(Cycle now,
-                                 std::vector<InputPort>& inputs,
-                                 std::vector<std::vector<OutVcState>>& out_vcs,
-                                 RouterStats& stats,
-                                 std::vector<StGrant>& grants,
-                                 const RouterVcMasks& masks) {
-  (void)now;
-  grants.clear();
-  // Fault-free mirror of step(): the bypass/transfer and fault-blocked
-  // branches cannot trigger and crossbar_path_ok is identically true (a
-  // stale FSP from an expired transient fault is honoured by the same
-  // fsp ? sp : route mux selection), so only readiness, arbitration and
-  // the grant commit remain. The state masks are exact (bit v of ready[p]
-  // <=> VC v of port p is Active with a buffered flit), so iterating their
-  // set bits ascending visits exactly the VCs the scanning loop serves, in
-  // the same order; mux request slots are lazily cleared on first use, so a
-  // cycle's cost never includes ports that requested nothing.
-  if (masks.ready_ports == 0) return;
-  std::uint32_t mux_mask = 0;
-  bool any_winner = false;
-
-  // --- Stage 1: one winning VC per input port. ---
-  for (std::uint32_t pm = masks.ready_ports; pm != 0; pm &= pm - 1) {
-    const int p = std::countr_zero(pm);
-    InputPort& port = inputs[static_cast<std::size_t>(p)];
-    std::uint64_t ready = 0;
-    for (std::uint32_t vm = masks.ready[p]; vm != 0; vm &= vm - 1) {
-      const int v = std::countr_zero(vm);
-      const VirtualChannel& vc = port.vc(v);
-#ifdef RNOC_TRACE
-      if (obs_) obs_->metrics().add_request(router_, obs::Stage::Sa);
-#endif
-      if (out_vcs[static_cast<std::size_t>(vc.route)]
-                 [static_cast<std::size_t>(vc.out_vc)]
-              .credits <= 0) {
-#ifdef RNOC_TRACE
-        if (obs_)
-          obs_->metrics().add_stall(router_, obs::Stage::Sa,
-                                    obs::StallCause::NoCredit);
-#endif
-        continue;
-      }
       ready |= std::uint64_t{1} << static_cast<unsigned>(v);
 #ifdef RNOC_TRACE
       if (!obs_pending_[static_cast<std::size_t>(p * vcs_ + v)]) {
@@ -315,8 +198,13 @@ void SwitchAllocator::step_event(Cycle now,
       }
 #endif
     }
-    if (ready == 0) continue;
-    const int w = stage1(p).arbitrate_mask(ready);
+    int w = -1;
+    if ((sa1_dead >> static_cast<unsigned>(p) & 1u) == 0) {
+      if (ready != 0) w = stage1(p).arbitrate_mask(ready);
+    } else {
+      w = bypass_stage1(now, port, p, ready, occupied, faults, stats);
+    }
+    if (w < 0) continue;
     w1_[static_cast<std::size_t>(p)] = w;
     const VirtualChannel& vc = port.vc(w);
     const int m = vc.fsp ? vc.sp : vc.route;
@@ -326,14 +214,10 @@ void SwitchAllocator::step_event(Cycle now,
     }
     mux_req_[static_cast<std::size_t>(m)] |= std::uint64_t{1}
                                             << static_cast<unsigned>(p);
-    any_winner = true;
   }
-  if (!any_winner) {
-#ifdef RNOC_TRACE
-    obs_flush_pending();
-#endif
-    return;
-  }
+  // A dead stage-2 arbiter grants nothing; its requesters lose the cycle.
+  if (faulted)
+    mux_mask &= ~faults.port_mask(fault::SiteType::Sa2Arbiter);
 
   // --- Stage 2: one grant per requested output mux, ascending. ---
   for (; mux_mask != 0; mux_mask &= mux_mask - 1) {

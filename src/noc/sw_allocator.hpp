@@ -2,7 +2,7 @@
 // paper's fault-tolerance extensions (§V-C): a per-port bypass path with a
 // rotating default winner plus VC-to-VC flit transfer for stage 1, and
 // secondary-path arbitration (shared with the crossbar protection) for
-// stage 2.
+// stage 2. One mask-gated step() serves fault-free and faulted routers.
 #pragma once
 
 #include <cstdint>
@@ -28,25 +28,19 @@ class SwitchAllocator {
   /// grants to execute next cycle. Decrements the credit of each granted
   /// flit's downstream VC. Out-param (not a returned vector) so the caller's
   /// grant buffer is reused across cycles without reallocating.
+  ///
+  /// Stage 1 visits only the VCs set in `masks.ready` (exact: they are the
+  /// Active VCs holding a flit), ascending, and arbitrates on request
+  /// bitmasks; stage 2 visits only requested muxes. Faults are read through
+  /// the fault-state masks: the crossbar path check (with its SP/FSP
+  /// updates), the Sa1 bypass default winner and VC-to-VC transfer, the
+  /// blocked counting of a baseline or bypass-less port, and dead stage-2
+  /// arbiters. Every core drives this one function; the FullSweep oracle
+  /// passes masks recomputed from scratch.
   void step(Cycle now, std::vector<InputPort>& inputs,
             std::vector<std::vector<OutVcState>>& out_vcs,
-            const fault::RouterFaultState& faults, RouterStats& stats,
-            std::vector<StGrant>& grants);
-
-  /// Fault-free mirror of step() for the event core: bit-identical grants,
-  /// credits, stats and trace events when the router carries no fault, but
-  /// stage 1 visits only the VCs set in the router's Active-ready state
-  /// masks, arbitration runs on request bitmasks and stage 2 only visits
-  /// requested muxes. The caller must fall back to step() whenever the
-  /// router's fault count is non-zero or !mask_capable().
-  void step_event(Cycle now, std::vector<InputPort>& inputs,
-                  std::vector<std::vector<OutVcState>>& out_vcs,
-                  RouterStats& stats, std::vector<StGrant>& grants,
-                  const RouterVcMasks& masks);
-
-  /// Whether the geometry fits the masks step_event uses (32-bit VC-state
-  /// and mux masks).
-  bool mask_capable() const { return vcs_ <= 32 && ports_ <= 32; }
+            const fault::RouterFaultState& faults, const RouterVcMasks& masks,
+            RouterStats& stats, std::vector<StGrant>& grants);
 
   /// Resets arbiter pointers and trace scratch (Mesh::reset_for_run).
   void reset_for_run();
@@ -73,9 +67,19 @@ class SwitchAllocator {
 #endif
   /// True when the flit in (p, v) can reach its output port through the
   /// crossbar this cycle; resolves/validates the secondary path and updates
-  /// the VC's SP/FSP fields for faults that appeared after RC ran.
+  /// the VC's SP/FSP fields for faults that appeared after RC ran. Only
+  /// called on a faulted router.
   bool crossbar_path_ok(VirtualChannel& vc,
                         const fault::RouterFaultState& faults) const;
+
+  /// Stage 1 of input port `p` whose stage-1 arbiter is dead: the bypass
+  /// path (default winner or VC-to-VC transfer) on the protected router,
+  /// blocked otherwise. `ready` holds the port's requesting VCs and
+  /// `occupied` its Active VCs with a buffered flit. Returns the winning VC
+  /// or -1.
+  int bypass_stage1(Cycle now, InputPort& port, int p, std::uint64_t ready,
+                    std::uint32_t occupied,
+                    const fault::RouterFaultState& faults, RouterStats& stats);
 
   int ports_;
   int vcs_;
@@ -86,10 +90,8 @@ class SwitchAllocator {
 
   // Scratch reused across step() calls to keep the per-cycle hot path
   // allocation-free.
-  std::vector<int> w1_;      ///< stage-1 winner VC per input port, or -1
-  std::vector<bool> ready_;  ///< per-VC readiness of the port being scanned
-  std::vector<bool> req_;    ///< per-input-port requests for one output mux
-  std::vector<std::uint64_t> mux_req_;  ///< step_event: port mask per mux
+  std::vector<int> w1_;                 ///< stage-1 winner VC per input port
+  std::vector<std::uint64_t> mux_req_;  ///< requesting-port mask per mux
 #ifdef RNOC_TRACE
   obs::Observer* obs_ = nullptr;
   NodeId router_ = kInvalidNode;

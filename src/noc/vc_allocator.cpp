@@ -1,6 +1,5 @@
 #include "noc/vc_allocator.hpp"
 
-#include <algorithm>
 #include <bit>
 
 namespace rnoc::noc {
@@ -10,24 +9,21 @@ VcAllocator::VcAllocator(int ports, int vcs, core::RouterMode mode, int vnets)
   require(ports >= 1 && vcs >= 1, "VcAllocator: bad geometry");
   require(vnets >= 1 && vcs % vnets == 0,
           "VcAllocator: vcs must divide evenly into vnets");
+  require(vcs <= 32 && ports * vcs <= 64,
+          "VcAllocator: geometry exceeds the 64-bit stage-2 request masks");
+  for (int n = 0; n < vnets; ++n) {
+    std::uint32_t m = 0;
+    for (int u = 0; u < vcs; ++u)
+      if (vnet_of_vc(u, vcs, vnets) == n) m |= 1u << static_cast<unsigned>(u);
+    vnet_vcs_.push_back(m);
+  }
   stage1_.reserve(static_cast<std::size_t>(ports * vcs));
   stage2_.reserve(static_cast<std::size_t>(ports * vcs));
   for (int i = 0; i < ports * vcs; ++i) {
     stage1_.emplace_back(vcs);          // choose among downstream VCs
     stage2_.emplace_back(ports * vcs);  // choose among requesting input VCs
   }
-  proposals_.reserve(static_cast<std::size_t>(ports * vcs));
-  // step_event scratch: reserved to their geometric maxima here so the
-  // per-cycle push_backs never grow (hotpath-alloc rule: the growth
-  // branch must stay dynamically dead).
-  keys_.reserve(static_cast<std::size_t>(ports * vcs));
-#ifdef RNOC_TRACE
-  obs_blocked_.reserve(static_cast<std::size_t>(ports * vcs));
-#endif
-  set_used_.resize(static_cast<std::size_t>(vcs), false);
-  candidates_.resize(static_cast<std::size_t>(vcs), false);
-  requests_.resize(static_cast<std::size_t>(ports * vcs), false);
-  pair_has_.resize(static_cast<std::size_t>(ports * vcs), false);
+  pair_req_.assign(static_cast<std::size_t>(ports * vcs), 0);
 }
 
 RoundRobinArbiter& VcAllocator::stage1(int port, int vc) {
@@ -38,15 +34,8 @@ RoundRobinArbiter& VcAllocator::stage2(int out_port, int vc) {
   return stage2_[static_cast<std::size_t>(out_port * vcs_ + vc)];
 }
 
-int VcAllocator::select_arbiter_set(InputPort& port, int p, int v,
-                                    const fault::RouterFaultState& faults,
-                                    std::vector<bool>& set_used,
-                                    RouterStats& stats) {
-  if (faults.count() == 0 ||
-      !faults.has(fault::SiteType::Va1ArbiterSet, p, v)) {
-    set_used[static_cast<std::size_t>(v)] = true;
-    return v;
-  }
+int VcAllocator::borrow_arbiter_set(InputPort& port, int v,
+                                    std::uint32_t lenders, RouterStats& stats) {
   if (mode_ == core::RouterMode::Baseline) {
     // No sharing circuitry: the head flit is blocked at this VC.
     ++stats.blocked_vc_cycles;
@@ -56,119 +45,113 @@ int VcAllocator::select_arbiter_set(InputPort& port, int p, int v,
   // set of the first one that is Idle or in switch-allocation (Active) state.
   // A sibling that is itself in the VA stage this cycle (Scenario 2), or a
   // set already lent out, makes the borrower wait one cycle.
-  VirtualChannel& borrower = port.vc(v);
-  for (int offset = 1; offset < vcs_; ++offset) {
-    const int w = (v + offset) % vcs_;
-    if (faults.has(fault::SiteType::Va1ArbiterSet, p, w)) continue;
-    if (set_used[static_cast<std::size_t>(w)]) continue;
-    const VcState ws = port.vc(w).state;
-    if (ws != VcState::Idle && ws != VcState::Active) continue;
-    // Post the borrow request into the lender's R2/VF/ID fields.
-    VirtualChannel& lender = port.vc(w);
-    lender.r2 = borrower.route;
-    lender.vf = true;
-    lender.id = v;
-    set_used[static_cast<std::size_t>(w)] = true;
-    ++stats.va1_borrows;
-    return w;
+  if (lenders == 0) {
+    ++stats.va1_borrow_waits;
+    ++stats.blocked_vc_cycles;
+    return -1;
   }
-  ++stats.va1_borrow_waits;
-  ++stats.blocked_vc_cycles;
-  return -1;
+  // Round-robin order after v: the lenders above v first, then wrap.
+  const std::uint32_t above =
+      lenders & ~((std::uint32_t{2} << static_cast<unsigned>(v)) - 1);
+  const int w = std::countr_zero(above != 0 ? above : lenders);
+  // Post the borrow request into the lender's R2/VF/ID fields.
+  VirtualChannel& lender = port.vc(w);
+  lender.r2 = port.vc(v).route;
+  lender.vf = true;
+  lender.id = v;
+  ++stats.va1_borrows;
+  return w;
 }
 
 void VcAllocator::step(Cycle now, std::vector<InputPort>& inputs,
                        std::vector<std::vector<OutVcState>>& out_vcs,
                        const fault::RouterFaultState& faults,
-                       RouterStats& stats) {
+                       const RouterVcMasks& masks, RouterStats& stats) {
   (void)now;
-  // --- Stage 1: each VcAlloc-state VC proposes one empty downstream VC. ---
-  proposals_.clear();
-#ifdef RNOC_TRACE
-  obs_blocked_.clear();
-#endif
+  if (masks.vcalloc_ports == 0) return;
+  // Proposed (out_port, out_vc) pairs, by key out_port * vcs + out_vc; each
+  // pair's requesting input VCs (bit in_port * vcs + in_vc) sit in
+  // pair_req_, lazily cleared on a pair's first proposal this cycle.
+  std::uint64_t pairs = 0;
   const std::uint64_t borrows_before = stats.va1_borrows;
-  const bool no_faults = faults.count() == 0;
-  for (int p = 0; p < ports_; ++p) {
-    InputPort& port = inputs[static_cast<std::size_t>(p)];
-    // VcAlloc state implies a buffered head flit, so an empty port has no
-    // work in this stage; a quick state scan filters the rest. Skipping is
-    // exact: no proposals, no borrows, no arbiter movement for such a port.
-    if (port.buffered_flits() == 0) continue;
-    bool any_vcalloc = false;
-    for (int v = 0; v < vcs_; ++v) {
-      if (port.vc(v).state == VcState::VcAlloc) {
-        any_vcalloc = true;
-        break;
-      }
-    }
-    if (!any_vcalloc) continue;
+  const bool faulted = faults.count() != 0;
+  const std::uint32_t all_vcs =
+      (std::uint32_t{2} << static_cast<unsigned>(vcs_ - 1)) - 1;
 
-    std::fill(set_used_.begin(), set_used_.end(), false);
-    // VCs in VcAlloc with healthy sets implicitly occupy their own set.
-    for (int v = 0; v < vcs_; ++v) {
-      if (port.vc(v).state == VcState::VcAlloc &&
-          (no_faults || !faults.has(fault::SiteType::Va1ArbiterSet, p, v)))
-        set_used_[static_cast<std::size_t>(v)] = true;
-    }
-    for (int v = 0; v < vcs_; ++v) {
+  // --- Stage 1: each VcAlloc-state VC proposes one empty downstream VC.
+  // The state masks are exact (bit v of vcalloc[p] <=> VC v of port p is in
+  // VcAlloc) and stage 1 changes no VC state, so iterating their set bits
+  // ascending visits exactly the VCs in VcAlloc, in port/VC order. ---
+  for (std::uint32_t pm = masks.vcalloc_ports; pm != 0; pm &= pm - 1) {
+    const int p = std::countr_zero(pm);
+    InputPort& port = inputs[static_cast<std::size_t>(p)];
+    const std::uint32_t vcalloc = masks.vcalloc[p];
+    const std::uint32_t dead =
+        faulted ? faults.vc_mask(fault::SiteType::Va1ArbiterSet, p) : 0;
+    // Arbiter sets taken this cycle: VCs in VcAlloc with healthy sets
+    // implicitly occupy their own; a borrow takes the lender's.
+    std::uint32_t used = vcalloc & ~dead;
+    // Siblings whose set could be lent: healthy, owner Idle or Active.
+    const std::uint32_t lendable =
+        all_vcs & ~dead & ~(masks.routing[p] | vcalloc);
+    for (std::uint32_t vm = vcalloc; vm != 0; vm &= vm - 1) {
+      const int v = std::countr_zero(vm);
       VirtualChannel& vc = port.vc(v);
-      if (vc.state != VcState::VcAlloc) continue;
 #ifdef RNOC_TRACE
       if (obs_) obs_->metrics().add_request(router_, obs::Stage::Va);
 #endif
-      const int set_owner =
-          select_arbiter_set(port, p, v, faults, set_used_, stats);
-      if (set_owner < 0) {
+      int set_owner = v;
+      if (dead >> static_cast<unsigned>(v) & 1u) {
+        set_owner = borrow_arbiter_set(port, v, lendable & ~used, stats);
+        if (set_owner < 0) {
 #ifdef RNOC_TRACE
-        // Baseline arbiter-set fault or borrow wait: the fault (not
-        // congestion or arbitration) cost this VC the cycle.
-        if (obs_) {
-          obs_->metrics().add_stall(router_, obs::Stage::Va,
-                                    obs::StallCause::FaultBlocked);
-          obs_->on_event(obs::EventKind::FaultBlock, now,
-                         vc.buffer.front().packet, router_, p, v);
-        }
+          // Baseline arbiter-set fault or borrow wait: the fault (not
+          // congestion or arbitration) cost this VC the cycle.
+          if (obs_) {
+            obs_->metrics().add_stall(router_, obs::Stage::Va,
+                                      obs::StallCause::FaultBlocked);
+            obs_->on_event(obs::EventKind::FaultBlock, now,
+                           vc.buffer.front().packet, router_, p, v);
+          }
 #endif
-        continue;
+          continue;
+        }
+        used |= 1u << static_cast<unsigned>(set_owner);
       }
 
       const int r = vc.route;
       require(!vc.buffer.empty() && vc.buffer.front().is_head(),
               "VcAllocator: VcAlloc state without a head flit");
-      const std::uint8_t cls = vc.buffer.front().traffic_class;
-      std::fill(candidates_.begin(), candidates_.end(), false);
-      bool any = false;
-      for (int u = 0; u < vcs_; ++u) {
-        if (out_vcs[static_cast<std::size_t>(r)][static_cast<std::size_t>(u)]
-                .allocated)
-          continue;
-        if (u == vc.excluded_out_vc) continue;
-        // Escape-VC partition: the reserved VC only for escape routes,
-        // escape routes only onto the reserved VC.
-        if (escape_vc_ >= 0 && (u == escape_vc_) != vc.escape_route) continue;
-        if (!vc_allowed_for_class(u, cls, vcs_, vnets_)) continue;
-        candidates_[static_cast<std::size_t>(u)] = true;
-        any = true;
+      // Downstream VCs this packet may take: free, of its class's vnet, and
+      // on the right side of the escape-VC partition (the reserved VC only
+      // for escape routes, escape routes only onto the reserved VC).
+      std::uint32_t allowed =
+          vnet_vcs_[static_cast<std::size_t>(
+              vnet_of_class(vc.buffer.front().traffic_class, vnets_))];
+      if (escape_vc_ >= 0) {
+        const std::uint32_t escape_bit =
+            1u << static_cast<unsigned>(escape_vc_);
+        allowed &= vc.escape_route ? escape_bit : ~escape_bit;
       }
-      if (!any) {
+      const auto& outs = out_vcs[static_cast<std::size_t>(r)];
+      for (std::uint32_t m = allowed; m != 0; m &= m - 1) {
+        const int u = std::countr_zero(m);
+        if (outs[static_cast<std::size_t>(u)].allocated)
+          allowed &= ~(1u << static_cast<unsigned>(u));
+      }
+      const int ex = vc.excluded_out_vc;
+      std::uint32_t cand =
+          ex >= 0 ? allowed & ~(1u << static_cast<unsigned>(ex)) : allowed;
+      if (cand == 0 && ex >= 0 && (allowed >> static_cast<unsigned>(ex) & 1u)) {
         // The exclusion memory must never starve the VC outright: when the
         // excluded downstream VC is the only remaining candidate (e.g. one
         // VC per vnet), forget the exclusion and retry it — pointless while
         // the stage-2 arbiter fault persists, but self-healing the moment a
         // transient fault expires.
-        const int ex = vc.excluded_out_vc;
-        if (ex >= 0 &&
-            !out_vcs[static_cast<std::size_t>(r)][static_cast<std::size_t>(ex)]
-                 .allocated &&
-            (escape_vc_ < 0 || (ex == escape_vc_) == vc.escape_route) &&
-            vc_allowed_for_class(ex, cls, vcs_, vnets_)) {
-          vc.excluded_out_vc = -1;
-          candidates_[static_cast<std::size_t>(ex)] = true;
-          any = true;
-        }
+        vc.excluded_out_vc = -1;
+        cand = 1u << static_cast<unsigned>(ex);
       }
-      if (!any) {
+      if (cand == 0) {
 #ifdef RNOC_TRACE
         // No empty downstream VC: ordinary congestion.
         if (obs_)
@@ -177,191 +160,63 @@ void VcAllocator::step(Cycle now, std::vector<InputPort>& inputs,
 #endif
         continue;
       }
-      const int u = stage1(p, set_owner).arbitrate(candidates_);
-      proposals_.push_back({p, v, r, u});
-#ifdef RNOC_TRACE
-      obs_blocked_.push_back(0);
-#endif
+      const int key = r * vcs_ + stage1(p, set_owner).arbitrate_mask(cand);
+      const std::uint64_t key_bit = std::uint64_t{1}
+                                    << static_cast<unsigned>(key);
+      if ((pairs & key_bit) == 0) {
+        pairs |= key_bit;
+        pair_req_[static_cast<std::size_t>(key)] = 0;
+      }
+      pair_req_[static_cast<std::size_t>(key)] |=
+          std::uint64_t{1} << static_cast<unsigned>(p * vcs_ + v);
     }
   }
 
-  // --- Stage 2: one arbiter per downstream VC resolves the proposals. ---
-  if (!proposals_.empty()) {
-    std::fill(pair_has_.begin(), pair_has_.end(), false);
-    for (const Proposal& pr : proposals_)
-      pair_has_[static_cast<std::size_t>(pr.out_port * vcs_ + pr.out_vc)] = true;
-    for (int r = 0; r < ports_; ++r) {
-      for (int u = 0; u < vcs_; ++u) {
-        if (!pair_has_[static_cast<std::size_t>(r * vcs_ + u)]) continue;
-        if (!no_faults && faults.has(fault::SiteType::Va2Arbiter, r, u)) {
-          // Paper §V-B3: the allocation fails; requesters recompute next
-          // cycle against a different downstream VC (+1 cycle, no extra
-          // circuitry).
-          for (std::size_t pi = 0; pi < proposals_.size(); ++pi) {
-            const Proposal& pr = proposals_[pi];
-            if (pr.out_port != r || pr.out_vc != u) continue;
-            inputs[static_cast<std::size_t>(pr.in_port)].vc(pr.in_vc)
-                .excluded_out_vc = u;
-            ++stats.va2_retries;
+  // --- Stage 2: one arbiter per proposed downstream VC, (r, u) ascending.
+  // A pair's requesters are visited in (in_port, in_vc) order, the order
+  // stage 1 proposed them in. ---
 #ifdef RNOC_TRACE
-            obs_blocked_[pi] = 1;
-            if (obs_) {
-              obs_->metrics().add_stall(router_, obs::Stage::Va,
-                                        obs::StallCause::FaultBlocked);
-              obs_->on_event(
-                  obs::EventKind::FaultBlock, now,
-                  inputs[static_cast<std::size_t>(pr.in_port)]
-                      .vc(pr.in_vc).buffer.front().packet,
-                  router_, pr.in_port, pr.in_vc);
-            }
+  std::uint64_t proposed = 0;  // Input VCs that made a proposal.
+  std::uint64_t blocked = 0;   // ... whose stall a stage-2 fault explains.
 #endif
-          }
-          continue;
-        }
-        std::fill(requests_.begin(), requests_.end(), false);
-        for (const Proposal& pr : proposals_) {
-          if (pr.out_port == r && pr.out_vc == u)
-            requests_[static_cast<std::size_t>(pr.in_port * vcs_ + pr.in_vc)] =
-                true;
-        }
-        const int winner = stage2(r, u).arbitrate(requests_);
-        if (winner < 0) continue;
-        const int wp = winner / vcs_;
-        const int wv = winner % vcs_;
-        VirtualChannel& vc = inputs[static_cast<std::size_t>(wp)].vc(wv);
-        vc.out_vc = u;
-        vc.state = VcState::Active;
-        vc.excluded_out_vc = -1;
-        inputs[static_cast<std::size_t>(wp)].refresh_vc(wv);
-        out_vcs[static_cast<std::size_t>(r)][static_cast<std::size_t>(u)]
-            .allocated = true;
-        ++stats.va_allocations;
+  for (; pairs != 0; pairs &= pairs - 1) {
+    const int key = std::countr_zero(pairs);
+    const int r = key / vcs_;
+    const int u = key % vcs_;
+    const std::uint64_t req = pair_req_[static_cast<std::size_t>(key)];
+#ifdef RNOC_TRACE
+    proposed |= req;
+#endif
+    if (faulted && (faults.vc_mask(fault::SiteType::Va2Arbiter, r) >>
+                        static_cast<unsigned>(u) &
+                    1u)) {
+      // Paper §V-B3: the allocation fails; requesters recompute next cycle
+      // against a different downstream VC (+1 cycle, no extra circuitry).
+      for (std::uint64_t m = req; m != 0; m &= m - 1) {
+        const int in = std::countr_zero(m);
+        VirtualChannel& vc =
+            inputs[static_cast<std::size_t>(in / vcs_)].vc(in % vcs_);
+        vc.excluded_out_vc = u;
+        ++stats.va2_retries;
 #ifdef RNOC_TRACE
         if (obs_) {
-          obs_->metrics().add_grant(router_, obs::Stage::Va);
-          obs_->on_event(obs::EventKind::Va, now, vc.buffer.front().packet,
-                         router_, wp, wv);
+          obs_->metrics().add_stall(router_, obs::Stage::Va,
+                                    obs::StallCause::FaultBlocked);
+          obs_->on_event(obs::EventKind::FaultBlock, now,
+                         vc.buffer.front().packet, router_, in / vcs_,
+                         in % vcs_);
         }
 #endif
       }
-    }
-
 #ifdef RNOC_TRACE
-    // Proposals that were not fault-blocked and did not end Active lost a
-    // stage-1 or stage-2 arbitration to another VC.
-    if (obs_) {
-      for (std::size_t pi = 0; pi < proposals_.size(); ++pi) {
-        if (obs_blocked_[pi]) continue;
-        const Proposal& pr = proposals_[pi];
-        if (inputs[static_cast<std::size_t>(pr.in_port)].vc(pr.in_vc).state !=
-            VcState::Active)
-          obs_->metrics().add_stall(router_, obs::Stage::Va,
-                                    obs::StallCause::LostVa);
-      }
-    }
+      blocked |= req;
 #endif
-  }
-
-  // Borrow-request fields are per-cycle markers: the VA unit resets them
-  // after the allocation attempt completes (paper §V-B2). They are only
-  // ever posted by a successful borrow, so the sweep runs only then.
-  if (stats.va1_borrows != borrows_before) {
-    for (int p = 0; p < ports_; ++p)
-      for (int v = 0; v < vcs_; ++v)
-        inputs[static_cast<std::size_t>(p)].vc(v).clear_borrow_fields();
-  }
-}
-
-void VcAllocator::step_event(Cycle now, std::vector<InputPort>& inputs,
-                             std::vector<std::vector<OutVcState>>& out_vcs,
-                             RouterStats& stats,
-                             const RouterVcMasks& masks) {
-  (void)now;
-  // Fault-free mirror of step(): every VC owns its own healthy arbiter set
-  // (no borrows, so no borrow-field sweep either), stage-2 arbiters never
-  // fault. The excluded_out_vc handling is kept verbatim — a stale exclusion
-  // posted under a transient fault can outlive it and must keep shaping
-  // candidate masks and the retry path until the VC wins an allocation.
-  if (masks.vcalloc_ports == 0) return;
-  proposals_.clear();
-#ifdef RNOC_TRACE
-  obs_blocked_.clear();
-#endif
-
-  // --- Stage 1: each VcAlloc-state VC proposes one empty downstream VC.
-  // The state masks are exact (bit v of vcalloc[p] <=> VC v of port p is in
-  // VcAlloc), so iterating their set bits ascending visits exactly the VCs
-  // the scanning loop serves, in the same order. ---
-  for (std::uint32_t pm = masks.vcalloc_ports; pm != 0; pm &= pm - 1) {
-    const int p = std::countr_zero(pm);
-    InputPort& port = inputs[static_cast<std::size_t>(p)];
-    for (std::uint32_t vm = masks.vcalloc[p]; vm != 0; vm &= vm - 1) {
-      const int v = std::countr_zero(vm);
-      VirtualChannel& vc = port.vc(v);
-#ifdef RNOC_TRACE
-      if (obs_) obs_->metrics().add_request(router_, obs::Stage::Va);
-#endif
-      const int r = vc.route;
-      require(!vc.buffer.empty() && vc.buffer.front().is_head(),
-              "VcAllocator: VcAlloc state without a head flit");
-      const std::uint8_t cls = vc.buffer.front().traffic_class;
-      std::uint64_t cand = 0;
-      for (int u = 0; u < vcs_; ++u) {
-        if (out_vcs[static_cast<std::size_t>(r)][static_cast<std::size_t>(u)]
-                .allocated)
-          continue;
-        if (u == vc.excluded_out_vc) continue;
-        if (escape_vc_ >= 0 && (u == escape_vc_) != vc.escape_route) continue;
-        if (!vc_allowed_for_class(u, cls, vcs_, vnets_)) continue;
-        cand |= std::uint64_t{1} << static_cast<unsigned>(u);
-      }
-      if (cand == 0) {
-        const int ex = vc.excluded_out_vc;
-        if (ex >= 0 &&
-            !out_vcs[static_cast<std::size_t>(r)][static_cast<std::size_t>(ex)]
-                 .allocated &&
-            (escape_vc_ < 0 || (ex == escape_vc_) == vc.escape_route) &&
-            vc_allowed_for_class(ex, cls, vcs_, vnets_)) {
-          vc.excluded_out_vc = -1;
-          cand |= std::uint64_t{1} << static_cast<unsigned>(ex);
-        }
-      }
-      if (cand == 0) {
-#ifdef RNOC_TRACE
-        if (obs_)
-          obs_->metrics().add_stall(router_, obs::Stage::Va,
-                                    obs::StallCause::NoCredit);
-#endif
-        continue;
-      }
-      const int u = stage1(p, v).arbitrate_mask(cand);
-      proposals_.push_back({p, v, r, u});
-#ifdef RNOC_TRACE
-      obs_blocked_.push_back(0);
-#endif
-    }
-  }
-  if (proposals_.empty()) return;
-
-  // --- Stage 2: one arbiter per proposed downstream VC, (r, u) ascending. ---
-  keys_.clear();
-  for (const Proposal& pr : proposals_)
-    keys_.push_back(pr.out_port * vcs_ + pr.out_vc);
-  std::sort(keys_.begin(), keys_.end());
-  keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-  for (const int key : keys_) {
-    std::uint64_t req = 0;
-    for (const Proposal& pr : proposals_) {
-      if (pr.out_port * vcs_ + pr.out_vc == key)
-        req |= std::uint64_t{1}
-               << static_cast<unsigned>(pr.in_port * vcs_ + pr.in_vc);
+      continue;
     }
     const int winner = stage2_[static_cast<std::size_t>(key)]
                            .arbitrate_mask(req);
     const int wp = winner / vcs_;
     const int wv = winner % vcs_;
-    const int r = key / vcs_;
-    const int u = key % vcs_;
     VirtualChannel& vc = inputs[static_cast<std::size_t>(wp)].vc(wv);
     vc.out_vc = u;
     vc.state = VcState::Active;
@@ -378,19 +233,28 @@ void VcAllocator::step_event(Cycle now, std::vector<InputPort>& inputs,
     }
 #endif
   }
-
 #ifdef RNOC_TRACE
+  // Proposals that were not fault-blocked and did not end Active lost a
+  // stage-1 or stage-2 arbitration to another VC.
   if (obs_) {
-    for (std::size_t pi = 0; pi < proposals_.size(); ++pi) {
-      if (obs_blocked_[pi]) continue;
-      const Proposal& pr = proposals_[pi];
-      if (inputs[static_cast<std::size_t>(pr.in_port)].vc(pr.in_vc).state !=
+    for (std::uint64_t m = proposed & ~blocked; m != 0; m &= m - 1) {
+      const int in = std::countr_zero(m);
+      if (inputs[static_cast<std::size_t>(in / vcs_)].vc(in % vcs_).state !=
           VcState::Active)
         obs_->metrics().add_stall(router_, obs::Stage::Va,
                                   obs::StallCause::LostVa);
     }
   }
 #endif
+
+  // Borrow-request fields are per-cycle markers: the VA unit resets them
+  // after the allocation attempt completes (paper §V-B2). They are only
+  // ever posted by a successful borrow, so the sweep runs only then.
+  if (stats.va1_borrows != borrows_before) {
+    for (int p = 0; p < ports_; ++p)
+      for (int v = 0; v < vcs_; ++v)
+        inputs[static_cast<std::size_t>(p)].vc(v).clear_borrow_fields();
+  }
 }
 
 void VcAllocator::reset_for_run() {

@@ -1,6 +1,7 @@
 // Two-stage separable virtual-channel allocator (paper §II-B2, Fig. 3a) with
 // the paper's fault-tolerance extensions (§V-B): stage-1 arbiter-set sharing
-// between VCs of an input port, and stage-2 reallocation retry.
+// between VCs of an input port, and stage-2 reallocation retry. One
+// mask-gated step() serves fault-free and faulted routers.
 #pragma once
 
 #include <cstdint>
@@ -24,23 +25,18 @@ class VcAllocator {
   /// downstream VC at their routed output port. Winners move to Active and
   /// get `out_vc` set; `out_vcs[port][vc].allocated` is updated. `now` only
   /// timestamps observability records; allocation itself is time-free.
+  ///
+  /// Stage 1 visits only the VCs set in `masks.vcalloc`, ascending, and
+  /// arbitrates on bitmasks; a VC whose arbiter set is dead (fault-state
+  /// mask) borrows a sibling's. Stage 2 visits only the proposed
+  /// (out_port, out_vc) pairs, ascending; a dead stage-2 arbiter fails its
+  /// requesters into a retry against another downstream VC. Every core
+  /// drives this one function; the FullSweep oracle passes masks recomputed
+  /// from scratch.
   void step(Cycle now, std::vector<InputPort>& inputs,
             std::vector<std::vector<OutVcState>>& out_vcs,
-            const fault::RouterFaultState& faults, RouterStats& stats);
-
-  /// Fault-free mirror of step() for the event core: bit-identical
-  /// allocations, stats and trace events when the router carries no fault,
-  /// but stage 1 visits only the VCs set in the router's VcAlloc state masks,
-  /// arbitration runs on bitmasks, and stage 2 visits only proposed
-  /// (out_port, out_vc) pairs. The caller must fall back to step() whenever
-  /// the router's fault count is non-zero or !mask_capable().
-  void step_event(Cycle now, std::vector<InputPort>& inputs,
-                  std::vector<std::vector<OutVcState>>& out_vcs,
-                  RouterStats& stats, const RouterVcMasks& masks);
-
-  /// Whether the geometry fits the masks step_event uses (32-bit VC-state
-  /// masks; stage 2 arbitrates over ports * vcs inputs in a 64-bit mask).
-  bool mask_capable() const { return vcs_ <= 32 && ports_ * vcs_ <= 64; }
+            const fault::RouterFaultState& faults, const RouterVcMasks& masks,
+            RouterStats& stats);
 
   /// Resets arbiter pointers (Mesh::reset_for_run).
   void reset_for_run();
@@ -65,41 +61,30 @@ class VcAllocator {
 #endif
 
  private:
-  struct Proposal {
-    int in_port = -1;
-    int in_vc = -1;    ///< Physical input VC.
-    int out_port = -1;
-    int out_vc = -1;   ///< Proposed downstream VC (logical).
-  };
-
-  /// Chooses the arbiter set (own or borrowed) for input VC (p, v); returns
-  /// the owning VC index or -1 when the VC must wait this cycle.
-  int select_arbiter_set(InputPort& port, int p, int v,
-                         const fault::RouterFaultState& faults,
-                         std::vector<bool>& set_used, RouterStats& stats);
+  /// Arbiter set for input VC `v` whose own set is dead: borrows the first
+  /// sibling set in `lenders` (healthy, not yet taken this cycle, owner Idle
+  /// or Active) after `v` in round-robin order, posting the request into the
+  /// lender's R2/VF/ID fields (paper §V-B1). Returns the lender, or -1 when
+  /// the VC must wait this cycle.
+  int borrow_arbiter_set(InputPort& port, int v, std::uint32_t lenders,
+                         RouterStats& stats);
 
   int ports_;
   int vcs_;
   core::RouterMode mode_;
   int vnets_;
   int escape_vc_ = -1;  ///< Reserved downstream VC for escape routes.
+  std::vector<std::uint32_t> vnet_vcs_;  ///< Per vnet: mask of its VCs.
   std::vector<RoundRobinArbiter> stage1_;  ///< [port * vcs + vc]
   std::vector<RoundRobinArbiter> stage2_;  ///< [out_port * vcs + vc]
 
-  // Scratch reused across step() calls to keep the per-cycle hot path
-  // allocation-free.
-  std::vector<Proposal> proposals_;
-  std::vector<bool> set_used_;    ///< per-VC arbiter sets taken, one port at a time
-  std::vector<bool> candidates_;  ///< per-downstream-VC stage-1 candidates
-  std::vector<bool> requests_;    ///< per-input-VC stage-2 requests
-  std::vector<bool> pair_has_;    ///< [out_port * vcs + vc]: proposals exist
-  std::vector<int> keys_;         ///< step_event: sorted distinct (r,u) keys
+  /// Per (out_port * vcs + out_vc): the input VCs (bit in_port * vcs +
+  /// in_vc) proposing that downstream VC this cycle. Scratch reused across
+  /// step() calls; entries are only valid for the cycle's proposed pairs.
+  std::vector<std::uint64_t> pair_req_;
 #ifdef RNOC_TRACE
   obs::Observer* obs_ = nullptr;
   NodeId router_ = kInvalidNode;
-  /// Parallel to proposals_: 1 when the proposal's stall was already
-  /// attributed (stage-2 fault), so the lost-arbitration post-pass skips it.
-  std::vector<std::uint8_t> obs_blocked_;
 #endif
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/failure_predicate.hpp"
 
 namespace rnoc::rel {
@@ -31,58 +30,37 @@ StructuralMttfResult structural_mttf(const StructuralMttfConfig& cfg) {
       cfg.mode == core::RouterMode::Protected, cfg.op);
   const fault::FaultGeometry fg{cfg.geometry.ports, cfg.geometry.vcs};
 
-  ThreadPool& pool = global_pool();
-  const std::size_t shards = pool.size();
-  struct Shard {
-    RunningStats lifetimes;
-    std::uint64_t single_point = 0;
-    std::uint64_t total = 0;
-  };
-  std::vector<Shard> shard_out(shards);
-
+  // One sample stream, independent of the pool size, so a result (and the
+  // committed goldens) never depends on the host's core count. Campaign
+  // points call this from pool workers, where a nested parallel_for would
+  // run inline anyway; the parallelism lives at the point level.
   Rng master(cfg.seed);
-  std::vector<Rng> shard_rngs;
-  shard_rngs.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) shard_rngs.push_back(master.split());
-
-  const std::uint64_t per_shard = (cfg.trials + shards - 1) / shards;
-  pool.parallel_for(shards, [&](std::size_t shard, std::size_t) {
-    Rng rng = shard_rngs[shard];
-    Shard& out = shard_out[shard];
-    const std::uint64_t begin = shard * per_shard;
-    const std::uint64_t end = std::min(cfg.trials, begin + per_shard);
-
-    struct Event {
-      double time_h;
-      std::size_t site_index;
-    };
-    std::vector<Event> events(sites.size());
-    for (std::uint64_t t = begin; t < end; ++t) {
-      for (std::size_t i = 0; i < sites.size(); ++i)
-        events[i] = {sample_lifetime(rng, sites[i].fit, cfg.weibull_shape), i};
-      std::sort(events.begin(), events.end(),
-                [](const Event& a, const Event& b) { return a.time_h < b.time_h; });
-      fault::RouterFaultState state(fg);
-      for (const Event& e : events) {
-        state.inject(sites[e.site_index].site);
-        if (core::router_failed(state, cfg.mode)) {
-          out.lifetimes.add(e.time_h);
-          if (sites[e.site_index].site.type == fault::SiteType::XbPSelect)
-            ++out.single_point;
-          ++out.total;
-          break;
-        }
-      }
-    }
-  });
-
+  Rng rng = master.split();
   StructuralMttfResult result;
   result.total_site_fit = total_site_fit(sites);
   std::uint64_t single = 0, total = 0;
-  for (const auto& s : shard_out) {
-    result.lifetime_hours.merge(s.lifetimes);
-    single += s.single_point;
-    total += s.total;
+  struct Event {
+    double time_h;
+    std::size_t site_index;
+  };
+  std::vector<Event> events(sites.size());
+  for (std::uint64_t t = 0; t < cfg.trials; ++t) {
+    for (std::size_t i = 0; i < sites.size(); ++i)
+      events[i] = {sample_lifetime(rng, sites[i].fit, cfg.weibull_shape), i};
+    std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+      return a.time_h < b.time_h;
+    });
+    fault::RouterFaultState state(fg);
+    for (const Event& e : events) {
+      state.inject(sites[e.site_index].site);
+      if (core::router_failed(state, cfg.mode)) {
+        result.lifetime_hours.add(e.time_h);
+        if (sites[e.site_index].site.type == fault::SiteType::XbPSelect)
+          ++single;
+        ++total;
+        break;
+      }
+    }
   }
   result.single_point_fraction =
       total ? static_cast<double>(single) / static_cast<double>(total) : 0.0;

@@ -41,7 +41,8 @@ struct StructuralMttfResult {
   double single_point_fraction = 0.0;
 };
 
-/// Runs the site-level lifetime simulation (parallel, deterministic).
+/// Runs the site-level lifetime simulation on one sample stream
+/// (deterministic for a given seed and trial count, on any core count).
 StructuralMttfResult structural_mttf(const StructuralMttfConfig& cfg);
 
 /// Network-level MTTF: time until the FIRST of `routers` independent routers

@@ -92,7 +92,10 @@ bool PointScheduler::try_claim(std::size_t self, Lane lane, Task& out) {
       return true;
     }
   }
-  if (queues_.size() > 1) steal_attempts_.fetch_add(1);
+  // A steal attempt means probing victims while this lane has work queued
+  // somewhere; an idle worker polling empty lanes is not one.
+  if (queues_.size() > 1 && pending_[li].load() > 0)
+    steal_attempts_.fetch_add(1);
   for (std::size_t k = 1; k < queues_.size(); ++k) {
     WorkerQueues& victim = *queues_[(self + k) % queues_.size()];
     const std::lock_guard<std::mutex> lock(victim.mu);

@@ -78,8 +78,10 @@ class PointScheduler {
     std::uint64_t steals = 0;    ///< Tasks taken from another worker's deque.
     std::uint64_t dropped = 0;   ///< Tasks discarded by stop().
     /// Claims that found the worker's own deque empty and probed its
-    /// peers (successfully or not) — the numerator's denominator for
-    /// `steals`, and the contention signal the telemetry layer exposes.
+    /// peers (successfully or not) while the lane had work queued — the
+    /// numerator's denominator for `steals`, and the contention signal the
+    /// telemetry layer exposes. An idle worker polling empty lanes does
+    /// not count.
     std::uint64_t steal_attempts = 0;
     /// Interactive tasks claimed while bulk work was queued somewhere:
     /// each one is a bulk task actually deferred by the priority lane.

@@ -42,7 +42,8 @@ const char* family_help(const std::string& base) {
       {"points_cached", "Points served from the persistent result cache."},
       {"sched_executed", "Scheduler tasks run to completion."},
       {"sched_steals", "Tasks taken from another worker's deque."},
-      {"sched_steal_attempts", "Claims that probed peer deques (own empty)."},
+      {"sched_steal_attempts",
+       "Claims that probed peer deques (own empty, lane not)."},
       {"sched_preemptions",
        "Interactive tasks claimed while bulk work was queued."},
       {"sched_dropped", "Tasks discarded by scheduler stop()."},

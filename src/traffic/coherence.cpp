@@ -21,9 +21,7 @@ NodeId CoherenceTraffic::random_other_node(NodeId self, Rng& rng) const {
   return d;
 }
 
-void CoherenceTraffic::generate(Cycle, NodeId node, Rng& rng,
-                                std::vector<noc::PacketDesc>& out) {
-  if (!rng.next_bool(cfg_.request_rate)) return;
+noc::PacketDesc CoherenceTraffic::request(NodeId node, Rng& rng) const {
   // Address-interleaved home: uniform over the other nodes.
   noc::PacketDesc p;
   p.src = node;
@@ -31,7 +29,27 @@ void CoherenceTraffic::generate(Cycle, NodeId node, Rng& rng,
   p.size_flits = 1;
   p.traffic_class = static_cast<std::uint8_t>(CoherenceClass::Request);
   p.payload = static_cast<std::uint64_t>(node);  // original requester
-  out.push_back(p);
+  return p;
+}
+
+void CoherenceTraffic::generate(Cycle, NodeId node, Rng& rng,
+                                std::vector<noc::PacketDesc>& out) {
+  if (!rng.next_bool(cfg_.request_rate)) return;
+  out.push_back(request(node, rng));
+}
+
+Cycle CoherenceTraffic::next_injection(Cycle from, Cycle horizon, NodeId node,
+                                       Rng& rng,
+                                       std::vector<noc::PacketDesc>& out) {
+  // Draw-for-draw replay of per-cycle generate() calls: one Bernoulli draw
+  // per quiet cycle, the home draw on a hit — the node's RNG stream is
+  // bit-identical to the cycle sweep's.
+  for (Cycle c = from; c < horizon; ++c) {
+    if (!rng.next_bool(cfg_.request_rate)) continue;
+    out.push_back(request(node, rng));
+    return c;
+  }
+  return kNeverCycle;
 }
 
 void CoherenceTraffic::on_delivered(const noc::Flit& tail, NodeId at,

@@ -50,11 +50,18 @@ class CoherenceTraffic : public TrafficModel {
   void generate(Cycle now, NodeId node, Rng& rng,
                 std::vector<noc::PacketDesc>& out) override;
 
+  bool supports_event_injection() const override { return true; }
+  Cycle next_injection(Cycle from, Cycle horizon, NodeId node, Rng& rng,
+                       std::vector<noc::PacketDesc>& out) override;
+
   void on_delivered(const noc::Flit& tail, NodeId at, Cycle now, Rng& rng,
                     std::vector<Response>& responses) override;
 
  private:
   NodeId random_other_node(NodeId self, Rng& rng) const;
+  /// The L1-miss request `node` issues once its Bernoulli draw hit; draws
+  /// the home directory from `rng`.
+  noc::PacketDesc request(NodeId node, Rng& rng) const;
 
   CoherenceConfig cfg_;
 };

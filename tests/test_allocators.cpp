@@ -47,10 +47,15 @@ struct AllocRig {
     return ch;
   }
 
-  void run_va(Cycle now = 0) { va.step(now, inputs, out_vcs, faults, stats); }
+  // The staged VCs bypass the router's mask upkeep, so each run derives the
+  // VC-state masks from scratch, as the FullSweep oracle does.
+  void run_va(Cycle now = 0) {
+    va.step(now, inputs, out_vcs, faults, compute_vc_masks(inputs), stats);
+  }
   std::vector<StGrant> run_sa(Cycle now = 0) {
     std::vector<StGrant> grants;
-    sa.step(now, inputs, out_vcs, faults, stats, grants);
+    sa.step(now, inputs, out_vcs, faults, compute_vc_masks(inputs), stats,
+            grants);
     return grants;
   }
 

@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "common/rng.hpp"
 #include "core/failure_predicate.hpp"
 #include "fault/fault_model.hpp"
 
@@ -47,6 +48,36 @@ TEST(FaultModel, RangeChecks) {
   EXPECT_THROW(s.has(SiteType::RcPrimary, 5), std::invalid_argument);
   EXPECT_THROW(s.has(SiteType::Va1ArbiterSet, 0, 4), std::invalid_argument);
   EXPECT_THROW(s.inject({SiteType::RcPrimary, 0, 1}), std::invalid_argument);
+}
+
+TEST(FaultModel, MasksTrackInjectAndRemove) {
+  // The masks the router pipeline reads must agree with has() through any
+  // sequence of injections and (transient) removals: a port bit stays set
+  // while any VC site of that port is faulty and clears with the last one.
+  const FaultGeometry g{5, 4};
+  const auto sites = RouterFaultState::enumerate_sites(g, true);
+  RouterFaultState s(g);
+  Rng rng(11);
+  for (int step = 0; step < 2000; ++step) {
+    const FaultSite& site = sites[rng.next_below(sites.size())];
+    if (rng.next_bool(0.5))
+      s.inject(site);
+    else
+      s.remove(site);
+    int faulty = 0;
+    for (const FaultSite& q : sites) {
+      const bool f = s.has(q);
+      faulty += f ? 1 : 0;
+      EXPECT_EQ((s.port_mask(q.type) >> q.a & 1u) != 0,
+                type_uses_vc(q.type) ? s.vc_mask(q.type, q.a) != 0 : f);
+      if (type_uses_vc(q.type)) {
+        EXPECT_EQ((s.vc_mask(q.type, q.a) >> q.b & 1u) != 0, f);
+      }
+    }
+    ASSERT_EQ(s.count(), faulty);
+  }
+  s.clear();
+  for (const FaultSite& q : sites) EXPECT_EQ(s.port_mask(q.type), 0u);
 }
 
 TEST(FaultModel, EnumerateBaselineSiteCount) {
