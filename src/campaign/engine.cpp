@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "campaign/json.hpp"
+#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 
 namespace fs = std::filesystem;
@@ -164,13 +165,15 @@ std::string shard_path(const std::string& dir, const std::string& campaign,
 }
 
 std::string shard_to_json_text(const std::string& campaign,
-                               const std::string& config_hash, int shard,
+                               const std::string& config_hash,
+                               const std::string& git_sha, int shard,
                                std::size_t first,
                                const std::vector<PointResult>& points) {
   JsonValue o = JsonValue::make_object();
   o.set("schema_version", JsonValue::make_number(kSchemaVersion));
   o.set("campaign", JsonValue::make_string(campaign));
   o.set("config_hash", JsonValue::make_string(config_hash));
+  o.set("git_sha", JsonValue::make_string(git_sha));
   o.set("shard", JsonValue::make_number(shard));
   o.set("first_point", JsonValue::make_number(static_cast<double>(first)));
   JsonValue arr = JsonValue::make_array();
@@ -181,10 +184,12 @@ std::string shard_to_json_text(const std::string& campaign,
 
 /// Loads a shard checkpoint; returns false (and leaves `points` empty) when
 /// the file is absent, unparsable, or was written for a different expanded
-/// spec — any of which just means the shard reruns.
+/// spec or under a different git SHA — any of which just means the shard
+/// reruns.
 bool load_shard_checkpoint(const std::string& path,
                            const std::string& campaign,
-                           const std::string& config_hash, int shard,
+                           const std::string& config_hash,
+                           const std::string& git_sha, int shard,
                            const std::vector<std::string>& expected_ids,
                            std::vector<PointResult>& points) {
   std::error_code ec;
@@ -194,6 +199,7 @@ bool load_shard_checkpoint(const std::string& path,
     if (v.at("schema_version").as_int() != kSchemaVersion) return false;
     if (v.at("campaign").as_string() != campaign) return false;
     if (v.at("config_hash").as_string() != config_hash) return false;
+    if (v.at("git_sha").as_string() != git_sha) return false;
     if (v.at("shard").as_int() != shard) return false;
     const auto& arr = v.at("points").items();
     if (arr.size() != expected_ids.size()) return false;
@@ -243,18 +249,6 @@ std::string spec_config_hash(const CampaignSpec& spec, bool smoke,
   return hex64(h);
 }
 
-std::string fnv1a_hex(const std::string& data) {
-  return hex64(fnv1a(0xcbf29ce484222325ull, data));
-}
-
-std::string point_to_json_text(const PointResult& p) {
-  return to_json_text(point_to_json(p));
-}
-
-PointResult point_from_json_text(const std::string& text) {
-  return point_from_json(parse_json(text));
-}
-
 std::vector<PointUnit> expand_point_units(const CampaignSpec& spec,
                                           bool smoke) {
   require(!spec.name.empty(), "campaign: spec has no name");
@@ -267,14 +261,6 @@ std::vector<PointUnit> expand_point_units(const CampaignSpec& spec,
   for (std::size_t i = 0; i < ids.size(); ++i)
     units.push_back({i, std::move(ids[i]), derive_point_seed(spec.seed, i)});
   return units;
-}
-
-PointResult run_point_unit(const CampaignSpec& spec, const PointUnit& u,
-                           bool smoke) {
-  require(static_cast<bool>(spec.run_point), "campaign " + spec.name +
-                                                 ": no run_point function");
-  PointOutput po = spec.run_point(u.index, u.seed, smoke);
-  return {u.id, std::move(po.metrics), std::move(po.obs)};
 }
 
 RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts) {
@@ -306,7 +292,7 @@ RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts) {
       const std::vector<std::string> slice(ids.begin() + r.first,
                                            ids.begin() + r.last);
       if (load_shard_checkpoint(shard_path(opts.checkpoint_dir, spec.name, k),
-                                spec.name, hash, k, slice,
+                                spec.name, hash, opts.git_sha, k, slice,
                                 shard_points[static_cast<std::size_t>(k)])) {
         have[static_cast<std::size_t>(k)] = 1;
         ++out.shards_resumed;
@@ -324,12 +310,9 @@ RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts) {
   }
 
   // Progress accounting: resumed checkpoints count as already done; the
-  // mutex serializes callback invocations across pool workers and guards
-  // the cache hit/computed counters.
+  // mutex serializes callback invocations across pool workers.
   std::mutex progress_mu;
   std::size_t points_done = 0;
-  std::size_t points_cached = 0;
-  std::size_t points_computed = 0;
   for (int k = 0; k < shards; ++k)
     if (have[static_cast<std::size_t>(k)])
       points_done += shard_points[static_cast<std::size_t>(k)].size();
@@ -339,28 +322,18 @@ RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts) {
     std::vector<PointResult> pts;
     pts.reserve(r.last - r.first);
     for (std::size_t i = r.first; i < r.last; ++i) {
-      PointResult p;
-      // The id check defends against a hook returning a stale or foreign
-      // entry: a mismatch is a miss, never an error.
-      bool hit = opts.cache_lookup && opts.cache_lookup(hash, ids[i], p) &&
-                 p.id == ids[i];
-      if (!hit) {
-        PointOutput po =
-            spec.run_point(i, derive_point_seed(spec.seed, i), opts.smoke);
-        p = {ids[i], std::move(po.metrics), std::move(po.obs)};
-        if (opts.cache_store) opts.cache_store(hash, p);
-      }
-      pts.push_back(std::move(p));
-      {
+      PointOutput po =
+          spec.run_point(i, derive_point_seed(spec.seed, i), opts.smoke);
+      pts.push_back({ids[i], std::move(po.metrics), std::move(po.obs)});
+      if (opts.progress) {
         const std::lock_guard<std::mutex> lock(progress_mu);
-        ++(hit ? points_cached : points_computed);
-        if (opts.progress) opts.progress(++points_done, ids.size(), k, ids[i]);
+        opts.progress(++points_done, ids.size(), k, ids[i]);
       }
     }
     if (checkpointing)
       write_text_atomic(shard_path(opts.checkpoint_dir, spec.name, k),
-                             shard_to_json_text(spec.name, hash, k, r.first,
-                                                pts));
+                        shard_to_json_text(spec.name, hash, opts.git_sha, k,
+                                           r.first, pts));
     shard_points[static_cast<std::size_t>(k)] = std::move(pts);
     have[static_cast<std::size_t>(k)] = 1;
   };
@@ -368,14 +341,11 @@ RunOutcome run_campaign(const CampaignSpec& spec, const RunOptions& opts) {
   if (to_run.size() <= 1) {
     for (const int k : to_run) run_shard(k);
   } else {
-    ThreadPool* pool = opts.pool ? opts.pool : &global_pool();
-    pool->parallel_for(to_run.size(), [&](std::size_t j, std::size_t) {
+    global_pool().parallel_for(to_run.size(), [&](std::size_t j, std::size_t) {
       run_shard(to_run[static_cast<std::size_t>(j)]);
     });
   }
   out.shards_run = static_cast<int>(to_run.size());
-  out.points_cached = points_cached;
-  out.points_computed = points_computed;
   if (stopped) return out;
 
   CampaignResult res;

@@ -14,6 +14,9 @@
 //    locale-independent), so a killed run that
 //    resumes from its shard files emits a byte-identical result file to an
 //    uninterrupted run (test-enforced in tests/test_campaign_engine.cpp);
+//  * checkpoints carry the git SHA they were computed under and are only
+//    resumed under the same SHA, so keeping them across runs is a safe
+//    warm rerun: unchanged code reuses every shard, changed code reruns;
 //  * result files carry schema_version, the git SHA, and a config hash over
 //    the expanded spec, so tools/compare_results.py can tell "number moved"
 //    from "experiment changed".
@@ -25,7 +28,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace rnoc::campaign {
 
@@ -74,10 +76,9 @@ struct PointOutput {
       : metrics(std::move(m)) {}
 };
 
-/// One schedulable unit of campaign work — the atom the serve layer ships
-/// between workers and caches on disk. index and seed are engine-derived
-/// (derive_point_seed), so a unit run anywhere, in any order, reproduces
-/// the exact point the sharded local run would have produced.
+/// One point of an expanded campaign grid. index and seed are
+/// engine-derived (derive_point_seed), so a unit run anywhere, in any
+/// order, reproduces the exact point the sharded run would have produced.
 struct PointUnit {
   std::size_t index = 0;
   std::string id;
@@ -125,12 +126,13 @@ struct RunOptions {
   /// Directory for shard checkpoints; empty disables checkpointing (and
   /// therefore resume).
   std::string checkpoint_dir;
+  /// Stamped into the result and into every shard checkpoint. A checkpoint
+  /// written under a different SHA is not resumed, so a rerun after the
+  /// code changed recomputes its points.
   std::string git_sha = "unknown";
   /// Test hook: run at most this many not-yet-checkpointed shards, then
   /// return with complete == false (simulates a killed run). -1 = no limit.
   int stop_after_shards = -1;
-  /// Pool to fan shards out on; null = global_pool().
-  ThreadPool* pool = nullptr;
   /// Optional live-progress callback, invoked after every completed point.
   /// Calls come from whichever worker ran the point but are serialized by
   /// the engine (no two calls overlap), so a plain printf body is safe.
@@ -138,18 +140,6 @@ struct RunOptions {
   std::function<void(std::size_t done, std::size_t total, int shard,
                      const std::string& point_id)>
       progress;
-  /// Optional persistent point cache (serve::ResultCache adapts to these
-  /// two hooks so the engine never depends on the serve layer). lookup is
-  /// consulted before a point runs; a hit whose id matches skips the run.
-  /// store receives every freshly computed point. Both get the expanded
-  /// spec's config hash, which keys the cache together with the schema
-  /// version and git SHA. Hooks may be called concurrently from shard
-  /// workers and must synchronize internally.
-  std::function<bool(const std::string& config_hash,
-                     const std::string& point_id, PointResult& out)>
-      cache_lookup;
-  std::function<void(const std::string& config_hash, const PointResult& p)>
-      cache_store;
 };
 
 struct RunOutcome {
@@ -158,11 +148,6 @@ struct RunOutcome {
   int shards_total = 0;
   int shards_resumed = 0;  ///< Loaded from valid checkpoints.
   int shards_run = 0;      ///< Newly computed by this invocation.
-  /// Point-level accounting for the cache hooks: hits served from
-  /// cache_lookup vs. points computed by run_point this invocation.
-  /// Points restored from shard checkpoints count as neither.
-  std::size_t points_cached = 0;
-  std::size_t points_computed = 0;
 };
 
 /// Runs (or resumes) a campaign. Throws std::invalid_argument on malformed
@@ -186,21 +171,10 @@ CampaignResult read_result_file(const std::string& path);
 /// this; the library itself never writes to stdout).
 std::string format_result(const CampaignResult& r);
 
-/// Serialization of a single point (the cache-entry payload). The text is
-/// deterministic and round-trips exactly, so a re-serialized parse is
-/// byte-identical — serve::ResultCache checksums rely on that.
-std::string point_to_json_text(const PointResult& p);
-PointResult point_from_json_text(const std::string& text);
-
-// --- Point-unit decomposition (the serve layer's schedulable atoms) ---
 /// Expands the spec's (possibly smoke-shrunk) grid into units carrying the
 /// engine-derived per-point seeds. Throws on malformed specs.
 std::vector<PointUnit> expand_point_units(const CampaignSpec& spec,
                                           bool smoke);
-/// Runs one unit to a finished PointResult. Pure: safe to call from any
-/// thread, in any order, and bit-reproducible for a given (spec, unit).
-PointResult run_point_unit(const CampaignSpec& spec, const PointUnit& u,
-                           bool smoke);
 
 // --- Determinism plumbing (exposed for tests) ---
 /// SplitMix64-style mix of the campaign seed and point index.
@@ -209,9 +183,6 @@ std::uint64_t derive_point_seed(std::uint64_t campaign_seed,
 /// FNV-1a over name, tag, seed, smoke flag and the expanded point ids.
 std::string spec_config_hash(const CampaignSpec& spec, bool smoke,
                              const std::vector<std::string>& ids);
-/// 16-hex-digit FNV-1a over arbitrary bytes (the hash family behind
-/// spec_config_hash), exposed for cache keys and entry checksums.
-std::string fnv1a_hex(const std::string& data);
 /// Whole-file text I/O with the engine's atomicity discipline: write goes
 /// to a same-directory temp file then renames, so a kill mid-write never
 /// leaves a truncated file at the target path. Both throw on I/O errors.

@@ -40,6 +40,7 @@ void ThreadPool::parallel_for(
     for (std::size_t i = 0; i < items; ++i) fn(i, tls_worker_index);
     return;
   }
+  const std::lock_guard<std::mutex> submit(submit_mu_);
   Job job;
   job.items = items;
   job.fn = &fn;

@@ -34,7 +34,9 @@ class ThreadPool {
   /// Re-entrant: calling parallel_for from inside a task running on this
   /// pool executes the nested loop inline on the calling worker (same
   /// worker_index for every item) instead of deadlocking on the single
-  /// job slot.
+  /// job slot. Calls from threads outside the pool may overlap: they are
+  /// serialized, each one publishing its job only after the previous
+  /// caller's job has finished.
   void parallel_for(std::size_t items,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -55,6 +57,9 @@ class ThreadPool {
   void worker_loop(std::size_t worker_index);
 
   std::vector<std::thread> workers_;
+  /// Held by an external caller for its whole parallel_for: the pool has
+  /// one job slot, so a second caller must not publish until it is free.
+  std::mutex submit_mu_;
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;

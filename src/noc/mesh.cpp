@@ -12,7 +12,6 @@ namespace rnoc::noc {
 const char* sim_core_name(SimCore core) {
   switch (core) {
     case SimCore::FullSweep: return "full_sweep";
-    case SimCore::ActiveList: return "active_list";
     case SimCore::EventDriven: return "event";
   }
   unreachable("sim_core_name: unhandled SimCore");
@@ -55,7 +54,6 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
     routers_.emplace_back(i, cfg.dims, cfg.router);
     nis_.emplace_back(i, ni_cfg);
   }
-  runnable_.assign(static_cast<std::size_t>(2 * n), 0);
   active_router_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   active_ni_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   require(cfg.link_latency >= 1, "Mesh: link latency must be >= 1");
@@ -100,9 +98,8 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
   // are different components (flits flow downstream, credits upstream).
   // When the consumer is a router (port >= 0) the record is a delivery —
   // the event core dispatches those instead of scanning every active
-  // router's links (ActiveList turns them into wakes); NIs gate their own
-  // link peeks in step_event, so a wake alone suffices for them (marker
-  // record, low nibble 0xE).
+  // router's links; NIs gate their own link peeks in step_event, so a wake
+  // alone suffices for them (marker record, low nibble 0xE).
   auto make_link = [&](int flit_sink, int flit_port, int credit_sink,
                        int credit_port) -> Link* {
     if (ecc) {
@@ -254,19 +251,7 @@ void Mesh::link_event(std::uint32_t rec, Cycle at) {
     schedule_wake(nodes() + static_cast<int>(rec >> 4), at);
     return;
   }
-  if (cfg_.core == SimCore::EventDriven)
-    schedule_delivery(rec, at);
-  else
-    schedule_wake(static_cast<int>(rec >> 4), at);
-}
-
-void Mesh::mark_runnable(int idx) {
-  if (runnable_[static_cast<std::size_t>(idx)]) return;
-  runnable_[static_cast<std::size_t>(idx)] = 1;
-  if (idx < nodes())
-    active_routers_.push_back(idx);
-  else
-    active_nis_.push_back(idx - nodes());
+  if (cfg_.core == SimCore::EventDriven) schedule_delivery(rec, at);
 }
 
 void Mesh::notify_fault(NodeId router) {
@@ -474,80 +459,7 @@ void Mesh::step(Cycle now) {
 #endif
     return;
   }
-
-  if (cfg_.core == SimCore::EventDriven) {
-    step_event_core(now);
-    return;
-  }
-
-  // Pull wakes due this cycle into the runnable sets: everything overdue,
-  // plus the buckets of all cycles up to `now` (one bucket when stepped on
-  // consecutive cycles; the whole ring covers any larger gap).
-  const std::size_t routers_before = active_routers_.size();
-  const std::size_t nis_before = active_nis_.size();
-  for (const int idx : overdue_wakes_) {
-    last_wake_at_[static_cast<std::size_t>(idx)] = 0;
-    mark_runnable(idx);
-  }
-  overdue_wakes_.clear();
-  const Cycle nbuckets = static_cast<Cycle>(wake_buckets_.size());
-  Cycle from = next_drain_;
-  if (now >= nbuckets && from < now + 1 - nbuckets) from = now + 1 - nbuckets;
-  for (Cycle c = from; c <= now; ++c) {
-    auto& bucket = wake_buckets_[c % nbuckets];
-    for (const int idx : bucket) {
-      last_wake_at_[static_cast<std::size_t>(idx)] = 0;
-      mark_runnable(idx);
-    }
-    bucket.clear();
-  }
-  next_drain_ = now + 1;
-
-  // Step in ascending node order, mirroring the full sweep exactly; routers
-  // untouched here would execute pure no-ops (verified by the determinism
-  // tests against the full-sweep reference). The lists stay sorted across
-  // cycles (retirement preserves order), so only cycles that woke someone
-  // need the re-sort.
-  if (active_routers_.size() != routers_before)
-    std::sort(active_routers_.begin(), active_routers_.end());
-  if (active_nis_.size() != nis_before)
-    std::sort(active_nis_.begin(), active_nis_.end());
-
-  std::size_t keep = 0;
-  for (const int r : active_routers_)
-    routers_[static_cast<std::size_t>(r)].step_accept(now);
-  for (const int r : active_routers_)
-    routers_[static_cast<std::size_t>(r)].step_st(now);
-  for (const int r : active_routers_)
-    routers_[static_cast<std::size_t>(r)].step_sa(now);
-  for (const int r : active_routers_)
-    routers_[static_cast<std::size_t>(r)].step_va(now);
-  for (const int r : active_routers_)
-    routers_[static_cast<std::size_t>(r)].step_rc(now);
-  for (const int i : active_nis_)
-    nis_[static_cast<std::size_t>(i)].step(now);
-  stepped_last_cycle_ = static_cast<int>(active_routers_.size());
-
-  // Retire quiescent components; anything retired here is re-woken by the
-  // wake queue when a link event, enqueue or fault next concerns it.
-  for (const int r : active_routers_) {
-    if (routers_[static_cast<std::size_t>(r)].has_pending_work())
-      active_routers_[keep++] = r;
-    else
-      runnable_[static_cast<std::size_t>(r)] = 0;
-  }
-  active_routers_.resize(keep);
-  keep = 0;
-  for (const int i : active_nis_) {
-    if (!nis_[static_cast<std::size_t>(i)].injection_idle())
-      active_nis_[keep++] = i;
-    else
-      runnable_[static_cast<std::size_t>(nodes() + i)] = 0;
-  }
-  active_nis_.resize(keep);
-#ifdef RNOC_INVARIANTS
-  checker_->on_cycle_end(now);
-#endif
+  step_event_core(now);
 }
 
 void Mesh::step_event_core(Cycle now) {
@@ -699,27 +611,20 @@ void Mesh::step_event_core(Cycle now) {
 }
 
 Cycle Mesh::next_event_cycle() const {
-  if (cfg_.core == SimCore::EventDriven) {
-    std::uint64_t any = 0;
-    for (const std::uint64_t w : active_router_words_) any |= w;
-    for (const std::uint64_t w : active_ni_words_) any |= w;
-    if (any != 0 || !overdue_wakes_.empty() || !overdue_deliveries_.empty())
-      return next_drain_;
-  } else if (!active_routers_.empty() || !active_nis_.empty() ||
-             !overdue_wakes_.empty()) {
+  std::uint64_t any = 0;
+  for (const std::uint64_t w : active_router_words_) any |= w;
+  for (const std::uint64_t w : active_ni_words_) any |= w;
+  if (any != 0 || !overdue_wakes_.empty() || !overdue_deliveries_.empty())
     return next_drain_;
-  }
   // No active component: the next possible change is the earliest queued
   // wake or delivery. Buckets cover exactly [next_drain_, next_drain_ +
   // nbuckets).
   const Cycle nbuckets = static_cast<Cycle>(wake_buckets_.size());
   for (Cycle c = next_drain_; c < next_drain_ + nbuckets; ++c) {
     if (!wake_buckets_[c % nbuckets].empty()) return c;
-    if (cfg_.core == SimCore::EventDriven) {
-      std::uint64_t any = 0;
-      for (const std::uint64_t w : delivery_buckets_[c % nbuckets]) any |= w;
-      if (any != 0) return c;
-    }
+    any = 0;
+    for (const std::uint64_t w : delivery_buckets_[c % nbuckets]) any |= w;
+    if (any != 0) return c;
   }
   return kNeverCycle;
 }
@@ -730,9 +635,6 @@ void Mesh::reset_for_run() {
   for (auto& l : links_) l->reset_for_run();
   self_heal_.reset();
   counters_ = NetCounters{};
-  std::fill(runnable_.begin(), runnable_.end(), 0);
-  active_routers_.clear();
-  active_nis_.clear();
   std::fill(active_router_words_.begin(), active_router_words_.end(), 0);
   std::fill(active_ni_words_.begin(), active_ni_words_.end(), 0);
   for (auto& b : wake_buckets_) b.clear();

@@ -1,23 +1,21 @@
 // 2D-mesh network: routers, NIs and the links wiring them together.
 //
-// The mesh offers three stepping cores (MeshConfig::core):
+// The mesh offers two stepping cores (MeshConfig::core):
 //
 //  - FullSweep: every router, every stage, every cycle, with the VC-state
 //    masks the stages iterate recomputed from scratch before each stage.
 //    Kept as the bit-identity oracle for the determinism tests.
-//  - ActiveList: active-router scheduling — only routers with work
-//    (buffered flits, pending switch-traversal grants, or a link event due
-//    this cycle) and NIs with injection work are stepped. Quiescent
-//    components are re-woken exactly at the cycle a link event becomes
-//    takeable, so the schedule is bit-identical to the full sweep.
-//  - EventDriven (default): the ActiveList wake machinery plus per-stage
+//  - EventDriven (default): only routers with work (buffered flits, pending
+//    switch-traversal grants, or a link delivery due this cycle) and NIs
+//    with injection work are stepped; quiescent components are re-woken
+//    exactly at the cycle a link event becomes takeable. Adds per-stage
 //    event gating (link ready peeks, empty-mask stage skips) and
 //    stalled-router retirement; with Simulator's idle fast-forward it jumps
 //    the clock across cycles in which no component can make progress.
-//    Bit-identical to both other cores (test-enforced).
+//    Bit-identical to the full sweep (test-enforced).
 //
-// All three cores drive the same per-stage Router functions; ActiveList and
-// EventDriven trust the incrementally maintained VC-state masks.
+// Both cores drive the same per-stage Router functions; EventDriven trusts
+// the incrementally maintained VC-state masks.
 //
 // Incremental accounting: a NetCounters instance shared with every link,
 // input port and NI makes flits_in_network(), packets_delivered() and
@@ -40,12 +38,11 @@
 
 namespace rnoc::noc {
 
-/// Simulation core selection (see the file comment). All three produce
+/// Simulation core selection (see the file comment). Both produce
 /// bit-identical SimReports; they differ only in how much work they skip.
 enum class SimCore : std::uint8_t {
   FullSweep,    ///< Seed reference: step everything every cycle.
-  ActiveList,   ///< Skip quiescent routers/NIs (wake scheduling).
-  EventDriven,  ///< ActiveList + stage gating + idle fast-forward.
+  EventDriven,  ///< Wake scheduling + stage gating + idle fast-forward.
 };
 
 const char* sim_core_name(SimCore core);
@@ -59,8 +56,8 @@ struct MeshConfig {
   double link_single_ber = 0.0;
   double link_double_ber = 0.0;
   std::uint64_t ecc_seed = 0x5ecded;
-  /// Which stepping core runs this mesh. All cores are bit-identical;
-  /// FullSweep / ActiveList exist as oracles and for benchmarking.
+  /// Which stepping core runs this mesh. Both cores are bit-identical;
+  /// FullSweep exists as the oracle and for benchmarking.
   SimCore core = SimCore::EventDriven;
   /// Observability layer settings; only consulted in builds configured
   /// with -DRNOC_TRACE=ON (a POD, so it is embedded unconditionally).
@@ -231,10 +228,9 @@ class Mesh {
   /// Wake queue index space: routers are [0, nodes()), NIs are
   /// [nodes(), 2 * nodes()).
   void schedule_wake(int idx, Cycle at);
-  void mark_runnable(int idx);
 
-  /// EventDriven counterpart of mark_runnable: sets the component's bit in
-  /// the active bitmask words (idempotent, no dedup byte needed).
+  /// Sets the component's bit in the active bitmask words (idempotent, no
+  /// dedup byte needed).
   void mark_active_event(int idx) {
     if (idx < nodes()) {
       active_router_words_[static_cast<std::size_t>(idx) >> 6] |=
@@ -246,7 +242,7 @@ class Mesh {
     }
   }
 
-  /// Queues a link-delivery record (EventDriven core). A record encodes
+  /// Queues a link-delivery record. A record encodes
   /// `router << 4 | port << 1 | kind` (kind 0 = flit due on the router's
   /// input port, 1 = credit due on its output port); records live in
   /// per-cycle bitmaps (bit `rec`), so draining a cycle's set bits in
@@ -257,9 +253,8 @@ class Mesh {
   void schedule_delivery(std::uint32_t rec, Cycle at);
 
   /// Link event-hook target (see Link::set_event_hook): one precomputed
-  /// record per link direction. Router sinks become delivery records under
-  /// the EventDriven core and plain wakes under ActiveList; a record with
-  /// the NI marker (low nibble 0xE) wakes NI `rec >> 4` under either core.
+  /// record per link direction. Router sinks become delivery records; a
+  /// record with the NI marker (low nibble 0xE) wakes NI `rec >> 4`.
   void link_event(std::uint32_t rec, Cycle at);
   static void link_event_hook(void* ctx, std::uint32_t rec, Cycle at) {
     static_cast<Mesh*>(ctx)->link_event(rec, at);
@@ -272,15 +267,10 @@ class Mesh {
   NetCounters counters_;
   SelfHealNet self_heal_;  ///< Shared fault-vector net (inert until armed).
 
-  // --- Active-router scheduling state ---
-  std::vector<std::uint8_t> runnable_;  ///< [0,n): routers; [n,2n): NIs.
-  std::vector<int> active_routers_;
-  std::vector<int> active_nis_;
-  /// EventDriven active sets as bitmask words (bit b of word w = component
-  /// 64w + b): set-bit iteration visits components in ascending order with
-  /// no sort, no dedup byte and no compaction, and retirement is a bit
-  /// clear. The ActiveList core keeps the sorted-vector machinery above as
-  /// the benchmark baseline.
+  // --- Active-component scheduling state (EventDriven core) ---
+  /// Active sets as bitmask words (bit b of word w = component 64w + b):
+  /// set-bit iteration visits components in ascending order with no sort,
+  /// no dedup byte and no compaction, and retirement is a bit clear.
   std::vector<std::uint64_t> active_router_words_;
   std::vector<std::uint64_t> active_ni_words_;
   // Wake queue as a ring of per-cycle buckets instead of a priority queue:
@@ -295,7 +285,7 @@ class Mesh {
   /// (0 = none queued). A busy router is woken by every link event it is
   /// party to — up to ~10 identical (idx, cycle) wakes per cycle otherwise.
   std::vector<Cycle> last_wake_at_;
-  /// Link-delivery queue (EventDriven core): same bucket-ring layout as the
+  /// Link-delivery queue: same bucket-ring layout as the
   /// wake queue, but each bucket is a bitmap over record values (see
   /// schedule_delivery) — insertion is one OR, duplicates collapse, and
   /// set-bit iteration yields the sweep's accept order with no sorting.

@@ -1,7 +1,7 @@
 // Campaign-engine contract tests: kill/resume produces a byte-identical
 // result file, results are invariant under the shard count, the JSON schema
-// round-trips losslessly, stale checkpoints are invalidated, and the
-// registry exposes every paper artifact.
+// round-trips losslessly, stale checkpoints (another spec or another git
+// SHA) are invalidated, and the registry exposes every paper artifact.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -206,6 +206,57 @@ TEST(CampaignEngine, StaleCheckpointsAreInvalidated) {
   ASSERT_TRUE(out.complete);
   EXPECT_EQ(out.shards_resumed, 0);
   EXPECT_EQ(out.shards_run, out.shards_total);
+}
+
+TEST(CampaignEngine, CheckpointsResumeOnlyUnderTheirGitSha) {
+  // Kept checkpoints are the warm-rerun path: the same code (same SHA)
+  // reuses every shard without running a point, and any other SHA reruns
+  // them all, since the points may compute differently now.
+  CampaignSpec spec = toy_spec();
+  std::atomic<int> computed{0};
+  const auto run_point = spec.run_point;
+  spec.run_point = [&computed, run_point](std::size_t i, std::uint64_t seed,
+                                          bool smoke) {
+    computed.fetch_add(1);
+    return run_point(i, seed, smoke);
+  };
+  TempDir dir("sha");
+  RunOptions a = opts_with(dir.str());
+  a.git_sha = "sha-a";
+  const RunOutcome cold = run_campaign(spec, a);
+  ASSERT_TRUE(cold.complete);
+  EXPECT_EQ(computed.load(), 12);
+
+  computed = 0;
+  const RunOutcome warm = run_campaign(spec, a);
+  ASSERT_TRUE(warm.complete);
+  EXPECT_EQ(warm.shards_resumed, warm.shards_total);
+  EXPECT_EQ(warm.shards_run, 0);
+  EXPECT_EQ(computed.load(), 0);
+  EXPECT_EQ(to_json(cold.result), to_json(warm.result));
+
+  RunOptions b = opts_with(dir.str());
+  b.git_sha = "sha-b";
+  const RunOutcome changed = run_campaign(spec, b);
+  ASSERT_TRUE(changed.complete);
+  EXPECT_EQ(changed.shards_resumed, 0);
+  EXPECT_EQ(changed.shards_run, changed.shards_total);
+  EXPECT_EQ(computed.load(), 12);
+  EXPECT_EQ(changed.result.git_sha, "sha-b");
+
+  // A run killed under one SHA and resumed under another keeps none of its
+  // shards, and still matches an uninterrupted run byte for byte.
+  TempDir kill_dir("sha_kill");
+  RunOptions killed = opts_with(kill_dir.str());
+  killed.git_sha = "sha-a";
+  killed.stop_after_shards = 2;
+  ASSERT_FALSE(run_campaign(spec, killed).complete);
+  RunOptions resume = opts_with(kill_dir.str());
+  resume.git_sha = "sha-b";
+  const RunOutcome resumed = run_campaign(spec, resume);
+  ASSERT_TRUE(resumed.complete);
+  EXPECT_EQ(resumed.shards_resumed, 0);
+  EXPECT_EQ(to_json(changed.result), to_json(resumed.result));
 }
 
 TEST(CampaignEngine, SmokeAndFullModesAreDistinctExperiments) {

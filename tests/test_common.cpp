@@ -305,17 +305,17 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 
 TEST(ThreadPool, NestedCallOnOtherPoolStillDispatches) {
   // A worker of one pool is an external caller to another pool; only
-  // same-pool re-entry runs inline. (One outer item: parallel_for does not
-  // support concurrent external submissions.)
+  // same-pool re-entry runs inline. Both outer workers may submit to the
+  // inner pool at once.
   ThreadPool outer(2);
   ThreadPool inner(2);
   std::atomic<int> n{0};
-  outer.parallel_for(1, [&](std::size_t, std::size_t) {
+  outer.parallel_for(4, [&](std::size_t, std::size_t) {
     EXPECT_FALSE(inner.on_worker_thread());
     EXPECT_TRUE(outer.on_worker_thread());
     inner.parallel_for(4, [&](std::size_t, std::size_t) { ++n; });
   });
-  EXPECT_EQ(n.load(), 4);
+  EXPECT_EQ(n.load(), 16);
 }
 
 TEST(ThreadPool, OnWorkerThreadFalseOutside) {

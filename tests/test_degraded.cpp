@@ -100,24 +100,21 @@ TEST(DegradedMode, NoDeathsMatchesDisabledRun) {
 }
 
 TEST(DegradedMode, ActiveSchedulingMatchesFullSweep) {
-  // Both fast cores must stay bit-identical to the full sweep through
+  // The event core must stay bit-identical to the full sweep through
   // deaths, drains, table switches and retransmissions.
   const auto sweep = run_with_deaths(2, base_cfg(true, SimCore::FullSweep));
-  for (const SimCore c : {SimCore::ActiveList, SimCore::EventDriven}) {
-    SCOPED_TRACE(sim_core_name(c));
-    const auto fast = run_with_deaths(2, base_cfg(true, c));
-    EXPECT_EQ(fast.cycles_run, sweep.cycles_run);
-    EXPECT_EQ(fast.packets_sent, sweep.packets_sent);
-    EXPECT_EQ(fast.packets_received, sweep.packets_received);
-    EXPECT_EQ(fast.flits_received, sweep.flits_received);
-    EXPECT_EQ(fast.total_latency.count(), sweep.total_latency.count());
-    EXPECT_EQ(fast.total_latency.mean(), sweep.total_latency.mean());
-    EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
-    EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
-    EXPECT_EQ(fast.degraded.dropped_unreachable,
-              sweep.degraded.dropped_unreachable);
-    EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
-  }
+  const auto fast = run_with_deaths(2, base_cfg(true, SimCore::EventDriven));
+  EXPECT_EQ(fast.cycles_run, sweep.cycles_run);
+  EXPECT_EQ(fast.packets_sent, sweep.packets_sent);
+  EXPECT_EQ(fast.packets_received, sweep.packets_received);
+  EXPECT_EQ(fast.flits_received, sweep.flits_received);
+  EXPECT_EQ(fast.total_latency.count(), sweep.total_latency.count());
+  EXPECT_EQ(fast.total_latency.mean(), sweep.total_latency.mean());
+  EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
+  EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
+  EXPECT_EQ(fast.degraded.dropped_unreachable,
+            sweep.degraded.dropped_unreachable);
+  EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
 }
 
 TEST(DegradedMode, ProtectedRouterToleratesBaselineLethalPlan) {

@@ -75,10 +75,9 @@ TEST(EventCore, FaultsDueMidDrainBitIdentical) {
   tc.injection_rate = 0.15;
   tc.packet_size = 4;
 
-  SimReport reports[3];
-  const SimCore cores[] = {SimCore::FullSweep, SimCore::ActiveList,
-                           SimCore::EventDriven};
-  for (int i = 0; i < 3; ++i) {
+  SimReport reports[2];
+  const SimCore cores[] = {SimCore::FullSweep, SimCore::EventDriven};
+  for (int i = 0; i < 2; ++i) {
     SimConfig c = cfg;
     c.mesh.core = cores[i];
     Simulator sim(c, std::make_shared<traffic::SyntheticTraffic>(tc));
@@ -89,7 +88,6 @@ TEST(EventCore, FaultsDueMidDrainBitIdentical) {
   EXPECT_EQ(reports[0].faults_injected, 3);
   EXPECT_GT(reports[0].cycles_run, drain_start + 6);
   expect_identical(reports[0], reports[1]);
-  expect_identical(reports[0], reports[2]);
 }
 
 // --- Degraded-mode epoch switch during drain ---
@@ -125,18 +123,15 @@ TEST(EventCore, DegradedDeathMidDrainBitIdentical) {
   const SimReport sweep = run(SimCore::FullSweep);
   EXPECT_EQ(sweep.degraded.router_deaths, 1u);
   EXPECT_GE(sweep.degraded.reroute_epochs, 1u);
-  for (const SimCore c : {SimCore::ActiveList, SimCore::EventDriven}) {
-    SCOPED_TRACE(sim_core_name(c));
-    const SimReport fast = run(c);
-    expect_identical(sweep, fast);
-    EXPECT_EQ(fast.degraded.router_deaths, sweep.degraded.router_deaths);
-    EXPECT_EQ(fast.degraded.reroute_epochs, sweep.degraded.reroute_epochs);
-    EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
-    EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
-    EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
-    EXPECT_EQ(fast.degraded.dropped_unreachable,
-              sweep.degraded.dropped_unreachable);
-  }
+  const SimReport fast = run(SimCore::EventDriven);
+  expect_identical(sweep, fast);
+  EXPECT_EQ(fast.degraded.router_deaths, sweep.degraded.router_deaths);
+  EXPECT_EQ(fast.degraded.reroute_epochs, sweep.degraded.reroute_epochs);
+  EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
+  EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
+  EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
+  EXPECT_EQ(fast.degraded.dropped_unreachable,
+            sweep.degraded.dropped_unreachable);
 }
 
 // --- FaultInjector::next_due_cycle gate ---
@@ -519,7 +514,7 @@ std::uint64_t digest(const FuzzRun& run) {
 
 TEST(EventCore, FaultedRouterFuzzAllCoresIdentical) {
   // Faulted routers run the same mask-gated SA/VA/RC stages as fault-free
-  // ones. Every core must agree on the report and on each router's
+  // ones. Both cores must agree on the report and on each router's
   // protection-mechanism counters, whatever the fault mix.
   RouterStats fired;
   for (std::uint64_t seed = 1; seed <= kFuzzSeeds; ++seed) {
@@ -530,14 +525,11 @@ TEST(EventCore, FaultedRouterFuzzAllCoresIdentical) {
                    << " transient_only " << fc.transient_only);
       const FuzzRun sweep = run_fuzz_case(fc, seed, SimCore::FullSweep);
       EXPECT_GT(sweep.report.faults_injected, 0);
-      for (const SimCore core : {SimCore::ActiveList, SimCore::EventDriven}) {
-        SCOPED_TRACE(sim_core_name(core));
-        const FuzzRun fast = run_fuzz_case(fc, seed, core);
-        expect_identical(sweep.report, fast.report);
-        EXPECT_TRUE(sweep.report.router_events == fast.report.router_events);
-        for (std::size_t n = 0; n < sweep.routers.size(); ++n)
-          EXPECT_TRUE(sweep.routers[n] == fast.routers[n]) << "router " << n;
-      }
+      const FuzzRun fast = run_fuzz_case(fc, seed, SimCore::EventDriven);
+      expect_identical(sweep.report, fast.report);
+      EXPECT_TRUE(sweep.report.router_events == fast.report.router_events);
+      for (std::size_t n = 0; n < sweep.routers.size(); ++n)
+        EXPECT_TRUE(sweep.routers[n] == fast.routers[n]) << "router " << n;
       fired.merge(sweep.report.router_events);
     }
   }

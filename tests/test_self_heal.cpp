@@ -113,30 +113,28 @@ TEST(SelfHeal, NoDeathsMatchesDisabledRun) {
 TEST(SelfHeal, AllCoresBitIdenticalThroughTransient) {
   // The reconvergence transient exercises every out-of-band mutation the
   // event core must be woken for: kills, the reclamation sweep, vector
-  // floods, the table install, unroutable purges and retransmissions. All
-  // three stepping cores must agree bit-for-bit.
+  // floods, the table install, unroutable purges and retransmissions. Both
+  // stepping cores must agree bit-for-bit.
   const auto sweep =
       run_with_deaths(2, heal_cfg(DegradedStrategy::SelfHeal,
                                   SimCore::FullSweep));
-  for (const SimCore c : {SimCore::ActiveList, SimCore::EventDriven}) {
-    SCOPED_TRACE(sim_core_name(c));
-    const auto fast = run_with_deaths(2, heal_cfg(DegradedStrategy::SelfHeal, c));
-    EXPECT_EQ(fast.cycles_run, sweep.cycles_run);
-    EXPECT_EQ(fast.packets_sent, sweep.packets_sent);
-    EXPECT_EQ(fast.packets_received, sweep.packets_received);
-    EXPECT_EQ(fast.flits_received, sweep.flits_received);
-    EXPECT_EQ(fast.total_latency.count(), sweep.total_latency.count());
-    EXPECT_EQ(fast.total_latency.mean(), sweep.total_latency.mean());
-    EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
-    EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
-    EXPECT_EQ(fast.degraded.dropped_unreachable,
-              sweep.degraded.dropped_unreachable);
-    EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
-    EXPECT_EQ(fast.router_events.escape_reroutes,
-              sweep.router_events.escape_reroutes);
-    EXPECT_EQ(fast.router_events.flits_dropped,
-              sweep.router_events.flits_dropped);
-  }
+  const auto fast = run_with_deaths(
+      2, heal_cfg(DegradedStrategy::SelfHeal, SimCore::EventDriven));
+  EXPECT_EQ(fast.cycles_run, sweep.cycles_run);
+  EXPECT_EQ(fast.packets_sent, sweep.packets_sent);
+  EXPECT_EQ(fast.packets_received, sweep.packets_received);
+  EXPECT_EQ(fast.flits_received, sweep.flits_received);
+  EXPECT_EQ(fast.total_latency.count(), sweep.total_latency.count());
+  EXPECT_EQ(fast.total_latency.mean(), sweep.total_latency.mean());
+  EXPECT_EQ(fast.degraded.retransmits, sweep.degraded.retransmits);
+  EXPECT_EQ(fast.degraded.packets_acked, sweep.degraded.packets_acked);
+  EXPECT_EQ(fast.degraded.dropped_unreachable,
+            sweep.degraded.dropped_unreachable);
+  EXPECT_EQ(fast.degraded.flits_blackholed, sweep.degraded.flits_blackholed);
+  EXPECT_EQ(fast.router_events.escape_reroutes,
+            sweep.router_events.escape_reroutes);
+  EXPECT_EQ(fast.router_events.flits_dropped,
+            sweep.router_events.flits_dropped);
 }
 
 TEST(SelfHeal, SurvivesStaggeredDeathWaves) {

@@ -238,20 +238,17 @@ TEST(ActiveScheduling, BitIdenticalToFullSweep) {
   for (const Scenario& s : scenarios) {
     SCOPED_TRACE(s.name);
     const SimReport swept = run_scenario(s, SimCore::FullSweep);
-    const SimReport active = run_scenario(s, SimCore::ActiveList);
     const SimReport event = run_scenario(s, SimCore::EventDriven);
-    expect_identical(swept, active);
     expect_identical(swept, event);
     EXPECT_GT(event.packets_received, 0u);
   }
 }
 
 TEST(ActiveScheduling, CoherenceTrafficIdentical) {
-  const SimCore cores[] = {SimCore::FullSweep, SimCore::ActiveList,
-                           SimCore::EventDriven};
+  const SimCore cores[] = {SimCore::FullSweep, SimCore::EventDriven};
   const auto& app = traffic::splash2_profiles().front();
-  SimReport reports[3];
-  for (int i = 0; i < 3; ++i) {
+  SimReport reports[2];
+  for (int i = 0; i < 2; ++i) {
     SimConfig cfg;
     cfg.mesh.dims = {4, 4};
     cfg.mesh.router.mode = core::RouterMode::Protected;
@@ -264,7 +261,6 @@ TEST(ActiveScheduling, CoherenceTrafficIdentical) {
     reports[i] = sim.run();
   }
   expect_identical(reports[0], reports[1]);
-  expect_identical(reports[0], reports[2]);
 }
 
 // --- SweepRunner ---

@@ -1,12 +1,15 @@
 // Concurrency regression tests for ThreadPool and SweepRunner, written to
 // be run under ThreadSanitizer (the CI tsan job executes this binary). The
-// nested parallel_for path (a worker re-entering its own pool) and the
-// SweepRunner per-job stats aggregation are the shapes most likely to hide
-// a race, so they are hammered explicitly here.
+// nested parallel_for path (a worker re-entering its own pool), concurrent
+// submissions from threads outside the pool and the SweepRunner per-job
+// stats aggregation are the shapes most likely to hide a race, so they are
+// hammered explicitly here. A lost submission shows up as a hang, which the
+// ctest timeout on this binary turns into a failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -27,6 +30,35 @@ TEST(ThreadPoolStress, BackToBackJobsReuseWorkers) {
     });
     ASSERT_EQ(count.load(), 8);
   }
+}
+
+TEST(ThreadPoolStress, ConcurrentExternalCallersEachRunEveryItemOnce) {
+  // Four threads outside the pool submit to it at the same time. The pool
+  // has one job slot, so the calls must queue behind each other rather
+  // than overwrite one another's job (the overwritten caller would wait
+  // forever).
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 150;
+  std::vector<std::thread> callers;
+  std::atomic<int> bad_counts{0};
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&pool, &bad_counts, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t items = 1 + static_cast<std::size_t>(
+                                          (t * 7 + round) % 13);
+        std::vector<std::atomic<int>> hits(items);
+        pool.parallel_for(items, [&](std::size_t i, std::size_t worker) {
+          if (worker >= pool.size()) bad_counts.fetch_add(1);
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const auto& h : hits)
+          if (h.load() != 1) bad_counts.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad_counts.load(), 0);
 }
 
 TEST(ThreadPoolStress, NestedParallelForRunsInlineAndCounts) {

@@ -67,11 +67,6 @@ TOKEN_DIRS = ("src", "tests", "tools", "bench", "examples")
 # Entry points: everything results/replay-determinism depends on.
 DET_ROOTS = [
     r"\brnoc::campaign::[\w:~<>]+\(",
-    # The campaign service's point-execute path: a cached point and a
-    # freshly computed point must be indistinguishable, so the scheduler/
-    # cache layers may not introduce wall-clock or rng sinks into it.
-    r"\brnoc::serve::CampaignService::execute_point\(",
-    r"\brnoc::serve::ResultCache::[\w:~]+\(",
     r"\brnoc::noc::Simulator::[\w:~]+\(",
     r"\brnoc::noc::SweepRunner::[\w:~]+\(",
     r"\brnoc::noc::Mesh::step[\w]*\(",
@@ -97,24 +92,8 @@ DET_BANNED = [
 #    clock-adjacent code (condition_variable waits).
 #  * I/O error paths (std::__throw_*, exception constructors): aborting
 #    is allowed to read whatever it wants.
-#  * serve wire/socket/server/scheduler plumbing: connection handling,
-#    send/recv timeouts and worker condition_variable scheduling are
-#    clock-adjacent by design and never reach point values — the execute
-#    path (CampaignService::execute_point -> ResultCache ->
-#    campaign::run_point_unit) is rooted separately above, so a sink
-#    leaking INTO point execution is still flagged.
 DET_PRUNE = [
     r"\brnoc::ThreadPool::",
-    r"\brnoc::serve::(Server|PointScheduler|Fd|LineReader)::",
-    r"\brnoc::serve::(send_line|listen_unix|accept_unix|connect_unix)\(",
-    # The telemetry hub is, by design, the one wall-clock site in the
-    # serve layer: every span/event timestamp is steady_clock read inside
-    # its TU. It only ever *observes* the request lifecycle — nothing in
-    # it feeds back into point values, and the serve smoke harness
-    # enforces that client results stay byte-identical to local execution
-    # with the hub attached. Reaching it from a determinism root means
-    # "this code reports telemetry", not "this code depends on time".
-    r"\brnoc::serve::TelemetryHub::",
     r"std::__throw_",
     r"__cxa_",
 ]
@@ -429,8 +408,7 @@ def run_switch_rule(repo, enums, findings):
 def run_token_rules(repo, findings):
     common_prefix = os.path.join("src", "common") + os.sep
     det_prefixes = tuple(os.path.join("src", d) + os.sep
-                         for d in ("campaign", "obs", "noc", "fault",
-                                   "serve"))
+                         for d in ("campaign", "obs", "noc", "fault"))
     for path in iter_source_files(repo, TOKEN_DIRS):
         relpath = rel(repo, path)
         with open(path, encoding="utf-8") as f:

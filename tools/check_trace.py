@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates a Chrome trace-event JSON file produced by --trace-out or by
-rnoc_served --span-trace-out.
+the repository benchmark (perfbench/run.py --trace 1).
 
 Checks, per (pid, tid) lane:
   - the file parses as strict JSON with the expected top-level shape,
@@ -11,16 +11,7 @@ Checks, per (pid, tid) lane:
 Instant ('i') and metadata ('M') events are checked for required fields but
 not for ordering. Exit 0 = valid, 1 = violation, 2 = usage/IO error.
 
---daemon additionally validates the span accounting of an rnoc_served
-trace: every 'request' span that completed ok must be matched by exactly
-`points` 'execute'/'cache-hit' spans carrying its job id, with no point id
-appearing twice within a job. The accounting is skipped (with a notice)
-when otherData.spans_dropped > 0 — a full span ring means the trace is a
-window, not a ledger. --min-jobs N fails the run if fewer than N completed
-request spans are present (so a smoke harness can prove the daemon traced
-the work it was given).
-
-Usage: check_trace.py [--daemon] [--min-jobs N] FILE.json
+Usage: check_trace.py FILE.json
 """
 
 from __future__ import annotations
@@ -92,93 +83,12 @@ def check_lanes(events: list) -> dict:
     return counts
 
 
-def check_daemon(doc: dict, events: list, min_jobs: int) -> None:
-    """Daemon span accounting: requests vs execute/cache-hit point spans."""
-    other = doc.get("otherData", {})
-    if not isinstance(other, dict):
-        fail("--daemon: 'otherData' is not an object")
-    dropped = other.get("spans_dropped", 0)
-
-    requests = []  # (job, campaign, points, ok)
-    points_by_job: dict[int, list[str]] = defaultdict(list)
-    for i, e in enumerate(events):
-        if e.get("ph") != "B":
-            continue
-        name = e["name"]
-        args = e.get("args")
-        if not isinstance(args, dict) or "job" not in args:
-            fail(f"--daemon: span event {i} ({name!r}) lacks args.job")
-        if name == "request":
-            for field in ("campaign", "points", "ok"):
-                if field not in args:
-                    fail(f"--daemon: request span {i} lacks args.{field}")
-            requests.append(
-                (args["job"], args["campaign"], args["points"], args["ok"])
-            )
-        elif name in ("execute", "cache-hit"):
-            if "id" not in args:
-                fail(f"--daemon: {name} span {i} lacks args.id")
-            points_by_job[args["job"]].append(args["id"])
-
-    completed = [r for r in requests if r[3]]
-    if len(completed) < min_jobs:
-        fail(
-            f"--daemon: {len(completed)} completed request span(s), "
-            f"expected at least {min_jobs}"
-        )
-
-    if dropped > 0:
-        print(
-            f"check_trace: --daemon: span ring dropped {dropped} span(s); "
-            f"skipping per-job point accounting (trace is a window)"
-        )
-        return
-
-    jobs_seen = {r[0] for r in requests}
-    for job, ids in sorted(points_by_job.items()):
-        if job not in jobs_seen:
-            fail(f"--daemon: point spans for job {job} with no request span")
-        dupes = {x for x in ids if ids.count(x) > 1}
-        if dupes:
-            fail(
-                f"--daemon: job {job} traced point(s) more than once: "
-                f"{sorted(dupes)[:5]}"
-            )
-    for job, campaign, points, ok in requests:
-        if not ok:
-            continue  # Failed jobs legitimately stop mid-campaign.
-        traced = len(points_by_job.get(job, []))
-        if traced != points:
-            fail(
-                f"--daemon: job {job} ({campaign!r}) declared {points} "
-                f"point(s) but traced {traced} execute/cache-hit span(s)"
-            )
-    print(
-        f"check_trace: --daemon OK: {len(requests)} request span(s) "
-        f"({len(completed)} ok), "
-        f"{sum(len(v) for v in points_by_job.values())} point span(s), "
-        f"accounting exact"
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(
         prog="check_trace.py",
         description="Validate a Chrome trace-event JSON file.",
     )
     parser.add_argument("file", metavar="FILE.json")
-    parser.add_argument(
-        "--daemon",
-        action="store_true",
-        help="also validate rnoc_served per-job span accounting",
-    )
-    parser.add_argument(
-        "--min-jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --daemon: require at least N completed request spans",
-    )
     args = parser.parse_args()
 
     try:
@@ -195,8 +105,6 @@ def main() -> None:
         fail("'traceEvents' is not an array")
 
     check_lanes(events)
-    if args.daemon:
-        check_daemon(doc, events, args.min_jobs)
 
 
 if __name__ == "__main__":

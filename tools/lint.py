@@ -12,8 +12,8 @@ Rules
                  (stderr is allowed only in noc/invariants.cpp, whose
                  abort path must print without touching the iostreams).
   pragma-once    every header starts its include guard with #pragma once.
-  self-contained every src/noc, src/campaign, src/serve, src/obs and
-                 src/fault header compiles on its own (include-what-you-use
+  self-contained every src/noc, src/campaign, src/obs and src/fault
+                 header compiles on its own (include-what-you-use
                  at the compile-or-fail level), checked with
                  `c++ -fsyntax-only` unless --no-compile-headers.
 
@@ -101,7 +101,7 @@ def check_text_rules(root, path, findings):
 
 def check_self_contained(root, findings, compiler):
     """Each covered subsystem header must compile standalone."""
-    for subdir in ("noc", "campaign", "obs", "fault", "serve"):
+    for subdir in ("noc", "campaign", "obs", "fault"):
         base = os.path.join(root, "src", subdir)
         if not os.path.isdir(base):
             continue
@@ -174,7 +174,7 @@ def self_test():
             failures.append(what)
 
     with tempfile.TemporaryDirectory(prefix="rnoc_lint_st_") as tmp:
-        for d in ("noc", "campaign", "obs", "fault", "serve"):
+        for d in ("noc", "campaign", "obs", "fault"):
             os.makedirs(os.path.join(tmp, "src", d), exist_ok=True)
         for relpath, text, _rule in _SELFTEST_FIXTURES:
             dest = os.path.join(tmp, *relpath.split("/"))

@@ -6,36 +6,23 @@
 //       Run every campaign and write results/<campaign>.json files.
 //   rnoc_campaign --run NAME [--smoke] ...
 //       Run one campaign.
-//   rnoc_campaign --connect SOCKET [--lane interactive|bulk] ...
-//       Same runs, executed by an rnoc_served daemon: points come off its
-//       work-stealing scheduler and persistent result cache, and the
-//       result files are byte-identical to local execution (test-enforced).
-//   rnoc_campaign --connect SOCKET --metrics [--metrics-format prometheus|json]
-//       One telemetry scrape, body printed verbatim (CI pipes it to the
-//       Prometheus exposition checker).
-//   rnoc_campaign --connect SOCKET --watch [--watch-count N]
-//       Live view: subscribes to the daemon's telemetry event stream and
-//       renders point rates, queue depths, in-flight work and cache hit
-//       rate from the periodic metrics events (plus one line per
-//       submit/coalesce/done). Exits nonzero with a clear message if the
-//       daemon dies mid-watch; --watch-count N exits cleanly after N
-//       metrics snapshots.
 //
 // Runs checkpoint completed shards under <out>/.checkpoints/: a killed run
 // re-invoked with the same arguments resumes from the finished shards and
 // produces a byte-identical result file (the engine's determinism contract).
 // Checkpoints are removed after each campaign completes; pass --keep-checkpoints
-// to retain them, or --fresh to discard existing ones up front.
+// to retain them, or --fresh to discard existing ones up front. Kept
+// checkpoints make a rerun warm: each carries the git SHA (or --git-sha) it
+// was computed under, and only shards from the same SHA are reused, so a
+// rerun after a code change recomputes everything.
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "campaign/engine.hpp"
 #include "campaign/registry.hpp"
 #include "common/options.hpp"
-#include "serve/client.hpp"
 
 using namespace rnoc;
 
@@ -69,140 +56,6 @@ int select_specs(const Options& opt,
   } else {
     for (const auto& spec : campaign::campaign_registry())
       specs.push_back(&spec);
-  }
-  return 0;
-}
-
-/// One-shot telemetry scrape; prints the body exactly as served.
-int run_metrics(const Options& opt) {
-  const std::string format = opt.get("metrics-format", "prometheus");
-  const serve::MetricsReply reply =
-      serve::daemon_metrics(opt.get("connect", ""), format);
-  if (!reply.ok) {
-    std::fprintf(stderr, "rnoc_campaign: metrics: %s\n", reply.error.c_str());
-    return 1;
-  }
-  std::fputs(reply.body.c_str(), stdout);
-  if (!reply.body.empty() && reply.body.back() != '\n') std::fputc('\n', stdout);
-  return 0;
-}
-
-double num_or(const campaign::JsonValue* v, double fallback) {
-  return v && v->is(campaign::JsonValue::Type::Number) ? v->as_number()
-                                                       : fallback;
-}
-
-/// Live watch mode: render rates/deltas from the daemon's periodic
-/// "metrics" telemetry events and one line per job lifecycle event.
-int run_watch(const Options& opt) {
-  const std::int64_t watch_count = opt.get_int("watch-count", 0);
-  std::int64_t metrics_seen = 0;
-  double last_t_us = 0, last_done = 0;
-  bool have_last = false;
-
-  const serve::WatchOutcome out = serve::watch_daemon(
-      opt.get("connect", ""), [&](const campaign::JsonValue& ev) {
-        const campaign::JsonValue* type = ev.find("type");
-        if (!type || !type->is(campaign::JsonValue::Type::String))
-          return true;
-        const std::string& kind = type->as_string();
-        const double t_us = num_or(ev.find("t_us"), 0);
-        if (kind == "metrics") {
-          const campaign::JsonValue* counters = ev.find("counters");
-          const campaign::JsonValue* gauges = ev.find("gauges");
-          if (!counters || !gauges) return true;
-          const double done = num_or(counters->find("points_computed"), 0) +
-                              num_or(counters->find("points_cached"), 0);
-          const double hits = num_or(counters->find("cache_hits"), 0);
-          const double misses = num_or(counters->find("cache_misses"), 0);
-          const double lookups = hits + misses;
-          double rate = 0;
-          if (have_last && t_us > last_t_us)
-            rate = (done - last_done) / ((t_us - last_t_us) / 1e6);
-          std::printf(
-              "watch %8.1fs | %6.1f pts/s | queue i/b %g/%g | in-flight %g "
-              "| waiters %g | cache %g entries, hit %4.1f%% | steals %g\n",
-              t_us / 1e6, rate,
-              num_or(gauges->find("queue_depth{lane=\"interactive\"}"), 0),
-              num_or(gauges->find("queue_depth{lane=\"bulk\"}"), 0),
-              num_or(gauges->find("points_in_flight"), 0),
-              num_or(gauges->find("coalesced_waiters"), 0),
-              num_or(gauges->find("cache_entries"), 0),
-              lookups > 0 ? 100.0 * hits / lookups : 0.0,
-              num_or(counters->find("sched_steals"), 0));
-          std::fflush(stdout);
-          last_t_us = t_us;
-          last_done = done;
-          have_last = true;
-          if (watch_count > 0 && ++metrics_seen >= watch_count)
-            return false;  // Clean, client-initiated end.
-        } else if (kind == "submit" || kind == "coalesce" ||
-                   kind == "done" || kind == "failed") {
-          const campaign::JsonValue* campaign_name = ev.find("campaign");
-          const campaign::JsonValue* error = ev.find("error");
-          std::printf("watch %8.1fs | %s %s (job %g)%s%s\n", t_us / 1e6,
-                      kind.c_str(),
-                      campaign_name ? campaign_name->as_string().c_str() : "?",
-                      num_or(ev.find("job"), 0), error ? ": " : "",
-                      error ? error->as_string().c_str() : "");
-          std::fflush(stdout);
-        }
-        return true;
-      });
-  if (!out.ok) {
-    std::fprintf(stderr, "rnoc_campaign: watch: %s\n", out.error.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-/// Client mode: submit to an rnoc_served daemon and write its result bytes
-/// verbatim (that verbatim write is the byte-identity contract).
-int run_connected(const Options& opt) {
-  const bool smoke = opt.get_bool("smoke", false);
-  const std::string out_dir = opt.get("out", "results");
-  const std::string socket_path = opt.get("connect", "");
-  // Smoke sweeps are what humans wait on; deep campaigns ride the bulk lane.
-  const serve::Lane lane =
-      serve::lane_from_name(opt.get("lane", smoke ? "interactive" : "bulk"));
-  const std::string git_sha =
-      opt.get("git-sha", campaign::read_git_sha("."));
-
-  std::vector<const campaign::CampaignSpec*> specs;
-  if (const int rc = select_specs(opt, specs); rc != 0) return rc;
-
-  serve::ClientProgress progress;
-  std::string current;  // Campaign in flight; read only by the callback.
-  if (opt.get_bool("progress", false)) {
-    progress = [&current](std::size_t done, std::size_t total,
-                          const std::string& id, bool cached) {
-      std::printf("  [%s] point %zu/%zu%s: %s\n", current.c_str(), done,
-                  total, cached ? " (cached)" : "", id.c_str());
-      std::fflush(stdout);
-    };
-  }
-
-  for (const campaign::CampaignSpec* spec : specs) {
-    current = spec->name;
-    const serve::ClientOutcome out = serve::run_campaign_via_daemon(
-        socket_path, spec->name, smoke, lane, git_sha, progress);
-    if (!out.ok) {
-      std::fprintf(stderr, "rnoc_campaign: %s: %s\n", spec->name.c_str(),
-                   out.error.c_str());
-      return 1;
-    }
-    std::filesystem::create_directories(out_dir);
-    const std::string path = out_dir + "/" + spec->name + ".json";
-    campaign::write_text_atomic(path, out.result_text);
-    std::printf("campaign %-22s %3zu points  %zu cached, %zu computed "
-                "(daemon)  -> %s\n",
-                spec->name.c_str(), out.points, out.cache_hits,
-                out.executed, path.c_str());
-    if (opt.get_bool("print", false)) {
-      const campaign::CampaignResult r =
-          campaign::result_from_json(out.result_text);
-      std::printf("%s\n", campaign::format_result(r).c_str());
-    }
   }
   return 0;
 }
@@ -265,25 +118,16 @@ int main(int argc, char** argv) {
     const Options opt(argc, argv,
                       {"list", "run", "smoke", "out", "checkpoint-dir",
                        "shards", "git-sha", "fresh", "keep-checkpoints",
-                       "print", "progress", "connect", "lane", "metrics",
-                       "metrics-format", "watch", "watch-count", "help"});
+                       "print", "progress", "help"});
     if (opt.get_bool("help", false)) {
       std::printf(
           "usage: rnoc_campaign [--list] [--run NAME] [--smoke] [--out DIR]\n"
           "                     [--shards N] [--checkpoint-dir DIR] [--fresh]\n"
           "                     [--keep-checkpoints] [--print] [--progress] "
-          "[--git-sha SHA]\n"
-          "                     [--connect SOCKET [--lane interactive|bulk]\n"
-          "                      [--metrics [--metrics-format prometheus|json]]\n"
-          "                      [--watch [--watch-count N]]]\n");
+          "[--git-sha SHA]\n");
       return 0;
     }
     if (opt.get_bool("list", false)) return list_campaigns();
-    if (opt.has("connect")) {
-      if (opt.get_bool("metrics", false)) return run_metrics(opt);
-      if (opt.get_bool("watch", false)) return run_watch(opt);
-      return run_connected(opt);
-    }
     return run_campaigns(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rnoc_campaign: %s\n", e.what());
