@@ -67,18 +67,10 @@ class Link {
     for (std::size_t i = 0; i < credits_.size(); ++i) fn(credits_.at(i).first);
   }
 
-  /// Scheduling hooks (standalone / test use): invoked with the cycle at
-  /// which a pushed flit / credit becomes takeable, so the consumer can be
-  /// woken exactly then instead of polling every cycle.
-  using Listener = std::function<void(Cycle ready)>;
-  void set_flit_listener(Listener l) { flit_listener_ = std::move(l); }
-  void set_credit_listener(Listener l) { credit_listener_ = std::move(l); }
-
-  /// Mesh fast-path hook: a plain function pointer plus two precomputed
-  /// event records (one per direction), dispatched instead of the
-  /// std::function listeners. The Mesh wires every link it owns through
-  /// this — millions of flit/credit pushes per simulated second make the
-  /// type-erased listener dispatch measurable.
+  /// Scheduling hook (set by the Mesh): a plain function pointer plus two
+  /// precomputed event records (one per direction), invoked with the cycle
+  /// at which a pushed flit / credit becomes takeable, so the consumer is
+  /// woken exactly then instead of polling every cycle. Unset = standalone.
   using EventHook = void (*)(void* ctx, std::uint32_t rec, Cycle ready);
   void set_event_hook(EventHook fn, void* ctx, std::uint32_t flit_rec,
                       std::uint32_t credit_rec) {
@@ -94,16 +86,10 @@ class Link {
  protected:
   NetCounters* counters() const { return counters_; }
   void notify_flit_ready(Cycle ready) {
-    if (hook_ != nullptr)
-      hook_(hook_ctx_, hook_flit_rec_, ready);
-    else if (flit_listener_)
-      flit_listener_(ready);
+    if (hook_ != nullptr) hook_(hook_ctx_, hook_flit_rec_, ready);
   }
   void notify_credit_ready(Cycle ready) {
-    if (hook_ != nullptr)
-      hook_(hook_ctx_, hook_credit_rec_, ready);
-    else if (credit_listener_)
-      credit_listener_(ready);
+    if (hook_ != nullptr) hook_(hook_ctx_, hook_credit_rec_, ready);
   }
   /// Subclass hook backing next_flit_ready for flits held outside the ring.
   void set_held_ready(Cycle ready) { held_ready_ = ready; }
@@ -114,8 +100,6 @@ class Link {
   Cycle latency_;
   Cycle last_flit_push_ = kNeverCycle;
   Cycle held_ready_ = kNeverCycle;
-  Listener flit_listener_;
-  Listener credit_listener_;
   EventHook hook_ = nullptr;
   void* hook_ctx_ = nullptr;
   std::uint32_t hook_flit_rec_ = 0;

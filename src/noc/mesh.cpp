@@ -57,13 +57,12 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
   active_router_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   active_ni_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   require(cfg.link_latency >= 1, "Mesh: link latency must be >= 1");
-  wake_buckets_.resize(static_cast<std::size_t>(cfg.link_latency) + 2);
-  // Delivery bitmaps: one bit per possible record value (16 per router).
-  const std::size_t dwords = (static_cast<std::size_t>(n) * 16 + 63) / 64;
-  delivery_buckets_.assign(wake_buckets_.size(),
-                           std::vector<std::uint64_t>(dwords, 0));
-  due_delivery_words_.assign(dwords, 0);
-  last_wake_at_.assign(static_cast<std::size_t>(2 * n), 0);
+  // Event bitmaps: one bit per possible record value (16 per router).
+  const std::size_t words = (static_cast<std::size_t>(n) * 16 + 63) / 64;
+  event_buckets_.assign(static_cast<std::size_t>(cfg.link_latency) + 2,
+                        std::vector<std::uint64_t>(words, 0));
+  overdue_words_.assign(words, 0);
+  due_words_.assign(words, 0);
 
 #ifdef RNOC_INVARIANTS
   checker_ = std::make_unique<NocChecker>();
@@ -79,7 +78,8 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
     routers_[static_cast<std::size_t>(i)].set_self_heal(&self_heal_);
     NetworkInterface& ni = nis_[static_cast<std::size_t>(i)];
     ni.set_counters(&counters_);
-    ni.set_wake_hook([this, i, n] { schedule_wake(n + i, 0); });
+    ni.set_event_hook(&Mesh::link_event_hook, this,
+                      static_cast<std::uint32_t>(i) << 4 | kNiWake);
 #ifdef RNOC_INVARIANTS
     checker_->add_router(&routers_[static_cast<std::size_t>(i)]);
     checker_->add_ni(&ni);
@@ -99,7 +99,7 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
   // When the consumer is a router (port >= 0) the record is a delivery —
   // the event core dispatches those instead of scanning every active
   // router's links; NIs gate their own link peeks in step_event, so a wake
-  // alone suffices for them (marker record, low nibble 0xE).
+  // record (kNiWake) suffices for them.
   auto make_link = [&](int flit_sink, int flit_port, int credit_sink,
                        int credit_port) -> Link* {
     if (ecc) {
@@ -123,12 +123,12 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
         flit_port >= 0
             ? static_cast<std::uint32_t>(flit_sink) << 4 |
                   static_cast<std::uint32_t>(flit_port) << 1
-            : static_cast<std::uint32_t>(flit_sink - n) << 4 | 0xEu;
+            : static_cast<std::uint32_t>(flit_sink - n) << 4 | kNiWake;
     const std::uint32_t crec =
         credit_port >= 0
             ? static_cast<std::uint32_t>(credit_sink) << 4 |
                   static_cast<std::uint32_t>(credit_port) << 1 | 1u
-            : static_cast<std::uint32_t>(credit_sink - n) << 4 | 0xEu;
+            : static_cast<std::uint32_t>(credit_sink - n) << 4 | kNiWake;
     l->set_event_hook(&Mesh::link_event_hook, this, frec, crec);
     return l;
   };
@@ -221,42 +221,22 @@ void Mesh::set_routing_tables(const FaultAwareTables* tables) {
   for (auto& r : routers_) r.set_routing_tables(tables);
 }
 
-void Mesh::schedule_wake(int idx, Cycle at) {
-  if (cfg_.core == SimCore::FullSweep) return;  // Steps everything anyway.
-  Cycle& last = last_wake_at_[static_cast<std::size_t>(idx)];
-  if (last == at + 1) return;  // This exact wake is already queued.
-  last = at + 1;
-  if (at < next_drain_) {
-    overdue_wakes_.push_back(idx);
-    return;
-  }
-  require(at - next_drain_ < static_cast<Cycle>(wake_buckets_.size()),
-          "Mesh::schedule_wake: wake beyond the link-latency horizon");
-  wake_buckets_[at % static_cast<Cycle>(wake_buckets_.size())].push_back(idx);
-}
-
-void Mesh::schedule_delivery(std::uint32_t rec, Cycle at) {
-  if (at < next_drain_) {
-    overdue_deliveries_.push_back(rec);
-    return;
-  }
-  const Cycle nbuckets = static_cast<Cycle>(delivery_buckets_.size());
-  require(at - next_drain_ < nbuckets,
-          "Mesh::schedule_delivery: delivery beyond the link-latency horizon");
-  delivery_buckets_[at % nbuckets][rec >> 6] |= std::uint64_t{1} << (rec & 63u);
-}
-
 void Mesh::link_event(std::uint32_t rec, Cycle at) {
-  if ((rec & 0xEu) == 0xEu) {  // NI marker: wake NI `rec >> 4`.
-    schedule_wake(nodes() + static_cast<int>(rec >> 4), at);
+  if (cfg_.core == SimCore::FullSweep) return;  // Steps everything anyway.
+  const std::uint64_t bit = std::uint64_t{1} << (rec & 63u);
+  if (at < next_drain_) {
+    overdue_words_[rec >> 6] |= bit;
     return;
   }
-  if (cfg_.core == SimCore::EventDriven) schedule_delivery(rec, at);
+  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
+  require(at - next_drain_ < nbuckets,
+          "Mesh::link_event: event beyond the link-latency horizon");
+  event_buckets_[at % nbuckets][rec >> 6] |= bit;
 }
 
 void Mesh::notify_fault(NodeId router) {
   require(router >= 0 && router < nodes(), "Mesh::notify_fault: bad node");
-  schedule_wake(static_cast<int>(router), 0);
+  link_event(static_cast<std::uint32_t>(router) << 4 | kRouterWake, 0);
 }
 
 bool Mesh::kill_router(NodeId n, Cycle now) {
@@ -271,7 +251,7 @@ bool Mesh::kill_router(NodeId n, Cycle now) {
   checker_->reset_history(/*clear_delivery_tracks=*/false);
 #endif
   // The decommission refunds woke the upstream credit consumers via the
-  // link listeners; wake the dead router itself so it swallows anything
+  // link event hooks; wake the dead router itself so it swallows anything
   // already heading its way.
   notify_fault(n);
   return true;
@@ -463,66 +443,59 @@ void Mesh::step(Cycle now) {
 }
 
 void Mesh::step_event_core(Cycle now) {
-  // Drain wakes into the active bitmask words and merge the delivery
-  // bitmaps due this step: everything overdue, plus the buckets of all
-  // cycles up to `now` (one bucket when stepped on consecutive cycles; the
-  // whole ring covers any larger gap). Delivery buckets of cycles skipped by
-  // the idle fast-forward are provably empty: a pending delivery bounds
-  // next_event_cycle(), which scans the delivery bitmaps alongside the wake
-  // buckets.
-  for (const int idx : overdue_wakes_) {
-    last_wake_at_[static_cast<std::size_t>(idx)] = 0;
-    mark_active_event(idx);
-  }
-  overdue_wakes_.clear();
-  for (const std::uint32_t rec : overdue_deliveries_)
-    due_delivery_words_[rec >> 6] |= std::uint64_t{1} << (rec & 63u);
-  overdue_deliveries_.clear();
-  const Cycle nbuckets = static_cast<Cycle>(wake_buckets_.size());
+  // Collect the records due this step: everything overdue, plus the
+  // buckets of all cycles up to `now` (one bucket when stepped on
+  // consecutive cycles; the whole ring covers any larger gap). Buckets of
+  // cycles skipped by the idle fast-forward are provably empty: a pending
+  // record bounds next_event_cycle(). The merged set moves to due_words_,
+  // so a record that turns overdue during this step waits for the next.
+  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
   Cycle from = next_drain_;
   if (now >= nbuckets && from < now + 1 - nbuckets) from = now + 1 - nbuckets;
   for (Cycle c = from; c <= now; ++c) {
-    auto& bucket = wake_buckets_[c % nbuckets];
-    for (const int idx : bucket) {
-      last_wake_at_[static_cast<std::size_t>(idx)] = 0;
-      mark_active_event(idx);
-    }
-    bucket.clear();
-    auto& dbucket = delivery_buckets_[c % nbuckets];
-    for (std::size_t w = 0; w < dbucket.size(); ++w) {
-      due_delivery_words_[w] |= dbucket[w];
-      dbucket[w] = 0;
+    auto& bucket = event_buckets_[c % nbuckets];
+    for (std::size_t w = 0; w < bucket.size(); ++w) {
+      overdue_words_[w] |= bucket[w];
+      bucket[w] = 0;
     }
   }
   next_drain_ = now + 1;
+  due_words_.swap(overdue_words_);
 
-  // Accept stage: dispatch exactly the due deliveries instead of scanning
+  // Accept stage: dispatch exactly the due records instead of scanning
   // every active router's links. Ascending set-bit iteration reproduces the
   // full sweep's order (router asc, port asc, flit before credit) and the
   // bitmap collapses duplicates (the sweep takes at most one flit per port
   // per cycle, while a record can be queued twice for the same cycle: the
-  // original arrival notification plus a reschedule). Each dispatched record
-  // marks its router active, so deliveries need no companion wake. When a
-  // further flit is already takeable behind the one just taken — an ECC
-  // retransmission colliding with the next in-flight flit — it is
-  // re-delivered next cycle, again matching the one-per-cycle sweep.
-  for (std::size_t w = 0; w < due_delivery_words_.size(); ++w) {
-    std::uint64_t bits = due_delivery_words_[w];
+  // original arrival notification plus a reschedule). Every router record
+  // marks its router active, so deliveries need no companion wake; wake
+  // records only mark. When a further flit is already takeable behind the
+  // one just taken — an ECC retransmission colliding with the next
+  // in-flight flit — it is re-delivered next cycle, again matching the
+  // one-per-cycle sweep.
+  for (std::size_t w = 0; w < due_words_.size(); ++w) {
+    std::uint64_t bits = due_words_[w];
     if (bits == 0) continue;
-    due_delivery_words_[w] = 0;
+    due_words_[w] = 0;
     const std::uint32_t rbase = static_cast<std::uint32_t>(w) << 6;
     do {
       const std::uint32_t rec =
           rbase + static_cast<std::uint32_t>(std::countr_zero(bits));
       bits &= bits - 1;
       const std::size_t r = rec >> 4;
+      const std::uint32_t kind = rec & 0xFu;
+      if (kind == kNiWake) {
+        active_ni_words_[r >> 6] |= std::uint64_t{1} << (r & 63u);
+        continue;
+      }
       active_router_words_[r >> 6] |= std::uint64_t{1} << (r & 63u);
+      if (kind == kRouterWake) continue;
       Router& rt = routers_[r];
-      const int p = static_cast<int>(rec >> 1 & 0x7u);
-      if (rec & 1u) {
+      const int p = static_cast<int>(kind >> 1);
+      if (kind & 1u) {
         rt.drain_credits_due(p, now);
       } else if (rt.accept_flit_due(p, now) <= now) {
-        schedule_delivery(rec, now + 1);
+        link_event(rec, now + 1);
       }
     } while (bits != 0);
   }
@@ -536,9 +509,9 @@ void Mesh::step_event_core(Cycle now) {
   // equals the sweep's stage-major order. Retirement (Router::
   // step_cycle_event) drops *stalled* fault-free routers: buffered flits
   // but no pending ST grants and no digest progress. Every future change
-  // to such a router arrives through a wake (flit/credit listener, fault
-  // notification), and until one fires, stepping it would repeat the exact
-  // same no-op.
+  // to such a router arrives through an event record (flit or credit
+  // delivery, fault notification), and until one fires, stepping it would
+  // repeat the exact same no-op.
   for (std::size_t w = 0; w < active_router_words_.size(); ++w) {
     std::uint64_t bits = active_router_words_[w];
     if (bits == 0) continue;
@@ -614,16 +587,14 @@ Cycle Mesh::next_event_cycle() const {
   std::uint64_t any = 0;
   for (const std::uint64_t w : active_router_words_) any |= w;
   for (const std::uint64_t w : active_ni_words_) any |= w;
-  if (any != 0 || !overdue_wakes_.empty() || !overdue_deliveries_.empty())
-    return next_drain_;
-  // No active component: the next possible change is the earliest queued
-  // wake or delivery. Buckets cover exactly [next_drain_, next_drain_ +
+  for (const std::uint64_t w : overdue_words_) any |= w;
+  if (any != 0) return next_drain_;
+  // No active component: the next possible change is the earliest
+  // scheduled record. Buckets cover exactly [next_drain_, next_drain_ +
   // nbuckets).
-  const Cycle nbuckets = static_cast<Cycle>(wake_buckets_.size());
+  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
   for (Cycle c = next_drain_; c < next_drain_ + nbuckets; ++c) {
-    if (!wake_buckets_[c % nbuckets].empty()) return c;
-    any = 0;
-    for (const std::uint64_t w : delivery_buckets_[c % nbuckets]) any |= w;
+    for (const std::uint64_t w : event_buckets_[c % nbuckets]) any |= w;
     if (any != 0) return c;
   }
   return kNeverCycle;
@@ -637,13 +608,10 @@ void Mesh::reset_for_run() {
   counters_ = NetCounters{};
   std::fill(active_router_words_.begin(), active_router_words_.end(), 0);
   std::fill(active_ni_words_.begin(), active_ni_words_.end(), 0);
-  for (auto& b : wake_buckets_) b.clear();
-  overdue_wakes_.clear();
-  for (auto& b : delivery_buckets_) std::fill(b.begin(), b.end(), 0);
-  overdue_deliveries_.clear();
-  std::fill(due_delivery_words_.begin(), due_delivery_words_.end(), 0);
+  for (auto& b : event_buckets_) std::fill(b.begin(), b.end(), 0);
+  std::fill(overdue_words_.begin(), overdue_words_.end(), 0);
+  std::fill(due_words_.begin(), due_words_.end(), 0);
   next_drain_ = 0;
-  std::fill(last_wake_at_.begin(), last_wake_at_.end(), 0);
   stepped_last_cycle_ = 0;
 #ifdef RNOC_INVARIANTS
   checker_->reset_history(/*clear_delivery_tracks=*/true);

@@ -8,11 +8,14 @@
 //  - EventDriven (default): only routers with work (buffered flits, pending
 //    switch-traversal grants, or a link delivery due this cycle) and NIs
 //    with injection work are stepped; quiescent components are re-woken
-//    exactly at the cycle a link event becomes takeable. Adds per-stage
-//    event gating (link ready peeks, empty-mask stage skips) and
-//    stalled-router retirement; with Simulator's idle fast-forward it jumps
-//    the clock across cycles in which no component can make progress.
-//    Bit-identical to the full sweep (test-enforced).
+//    exactly at the cycle a link event becomes takeable. One schedule
+//    drives it: a ring of per-cycle bitmaps over event records, 16 per
+//    router (flit and credit deliveries, NI and router wakes), fed by one
+//    entry point, link_event. Adds per-stage event gating (link ready
+//    peeks, empty-mask stage skips) and stalled-router retirement; with
+//    Simulator's idle fast-forward it jumps the clock across cycles in
+//    which no component can make progress. Bit-identical to the full sweep
+//    (test-enforced).
 //
 // Both cores drive the same per-stage Router functions; EventDriven trusts
 // the incrementally maintained VC-state masks.
@@ -89,22 +92,22 @@ class Mesh {
   void step(Cycle now);
 
  private:
-  /// The EventDriven body of step(): bitmask active sets, delivery-record
-  /// dispatch, fused per-router stepping (stage-major in traced builds).
+  /// The EventDriven body of step(): event-record dispatch into the bitmask
+  /// active sets, fused per-router stepping (stage-major in traced builds).
   void step_event_core(Cycle now);
 
  public:
 
   /// Earliest future cycle at which any network component can make
   /// progress, or kNeverCycle when the network is fully quiescent (no
-  /// active component, no queued wake). Only meaningful for the
+  /// active component, no scheduled event record). Only meaningful for the
   /// EventDriven core, evaluated right after step(now): every cycle before
   /// the returned one is provably a network no-op, so the simulator's idle
   /// fast-forward may skip straight to it.
   Cycle next_event_cycle() const;
 
-  /// Restores the whole network (routers, NIs, links, counters, wake
-  /// scheduling, checker/observer state) to its just-constructed state so
+  /// Restores the whole network (routers, NIs, links, counters, event
+  /// schedule, checker/observer state) to its just-constructed state so
   /// a fresh Simulator can run on it without reallocating anything.
   /// Validated bit-identical to fresh construction by the sweep tests.
   void reset_for_run();
@@ -189,8 +192,8 @@ class Mesh {
   /// re-primes the invariant checker. Returns the number of VCs purged.
   int reclaim_truncated(Cycle now);
 
-  /// Routers stepped by the most recent step() call (== nodes() when
-  /// active scheduling is off). Scheduling telemetry for benchmarks.
+  /// Routers stepped by the most recent step() call (== nodes() under
+  /// FullSweep). Scheduling telemetry for benchmarks.
   int routers_stepped_last_cycle() const { return stepped_last_cycle_; }
 
   /// Sum of all routers' event counters.
@@ -225,40 +228,30 @@ class Mesh {
   void note_channel(Link* link, Router* up_router, int up_port,
                     NetworkInterface* up_ni, Router* down_router,
                     int down_port, NetworkInterface* down_ni);
-  /// Wake queue index space: routers are [0, nodes()), NIs are
-  /// [nodes(), 2 * nodes()).
-  void schedule_wake(int idx, Cycle at);
 
-  /// Sets the component's bit in the active bitmask words (idempotent, no
-  /// dedup byte needed).
-  void mark_active_event(int idx) {
-    if (idx < nodes()) {
-      active_router_words_[static_cast<std::size_t>(idx) >> 6] |=
-          std::uint64_t{1} << (idx & 63);
-    } else {
-      const int i = idx - nodes();
-      active_ni_words_[static_cast<std::size_t>(i) >> 6] |= std::uint64_t{1}
-                                                            << (i & 63);
-    }
-  }
-
-  /// Queues a link-delivery record. A record encodes
-  /// `router << 4 | port << 1 | kind` (kind 0 = flit due on the router's
-  /// input port, 1 = credit due on its output port); records live in
-  /// per-cycle bitmaps (bit `rec`), so draining a cycle's set bits in
-  /// ascending order reproduces the full sweep's accept order — router
-  /// ascending, port ascending, flit before credit — with dedup for free.
-  /// Draining a delivery also marks its router active, so deliveries need no
-  /// companion wake.
-  void schedule_delivery(std::uint32_t rec, Cycle at);
-
-  /// Link event-hook target (see Link::set_event_hook): one precomputed
-  /// record per link direction. Router sinks become delivery records; a
-  /// record with the NI marker (low nibble 0xE) wakes NI `rec >> 4`.
+  /// Schedules event record `rec` at cycle `at`. A record encodes
+  /// `router << 4 | kind` with kind `port << 1 | 0` (flit due on the
+  /// router's input port), `port << 1 | 1` (credit due on its output port),
+  /// kNiWake (wake the router's NI) or kRouterWake (wake the router). Every
+  /// record lives in a per-cycle bitmap (bit `rec`), so draining a cycle's
+  /// set bits in ascending order reproduces the full sweep's accept order —
+  /// router ascending, port ascending, flit before credit — with dedup for
+  /// free. Draining a delivery or a router wake marks the router active, an
+  /// NI wake marks the NI active. A record at an already-drained cycle
+  /// (fault notification, NI enqueue) is OR-ed into the overdue bitmap,
+  /// which the next step drains first. The one entry point of the event
+  /// core's schedule: links and NIs reach it through link_event_hook, fault
+  /// notifications directly. FullSweep ignores it.
   void link_event(std::uint32_t rec, Cycle at);
   static void link_event_hook(void* ctx, std::uint32_t rec, Cycle at) {
     static_cast<Mesh*>(ctx)->link_event(rec, at);
   }
+  /// Record kinds past the port records (ports use kinds 0..9).
+  static constexpr std::uint32_t kNiWake = 0xE;
+  static constexpr std::uint32_t kRouterWake = 0xF;
+  static_assert((static_cast<std::uint32_t>(kMeshPorts - 1) << 1 | 1u) <
+                    kNiWake,
+                "port records must stay below the wake kinds");
 
   MeshConfig cfg_;
   std::vector<Router> routers_;
@@ -273,27 +266,14 @@ class Mesh {
   /// no dedup byte and no compaction, and retirement is a bit clear.
   std::vector<std::uint64_t> active_router_words_;
   std::vector<std::uint64_t> active_ni_words_;
-  // Wake queue as a ring of per-cycle buckets instead of a priority queue:
-  // every wake is at most link_latency cycles out, so bucket `at % size`
-  // gives O(1) insert/drain with no heap churn on the per-cycle hot path.
-  // Wakes at already-drained cycles (fault notifications, NI enqueues) go
-  // to `overdue_wakes_`, drained first thing every step.
-  std::vector<std::vector<int>> wake_buckets_;
-  std::vector<int> overdue_wakes_;
+  /// The event schedule: a ring of per-cycle bitmaps over record values
+  /// (see link_event), one bit per record, 16 records per router. Every
+  /// event is at most link_latency cycles out, so bucket `at % size` gives
+  /// O(1) insert (one OR) and drain with no heap churn and no sorting.
+  std::vector<std::vector<std::uint64_t>> event_buckets_;
+  std::vector<std::uint64_t> overdue_words_;  ///< Records at drained cycles.
+  std::vector<std::uint64_t> due_words_;      ///< Per-step scratch.
   Cycle next_drain_ = 0;  ///< First cycle whose bucket has not been drained.
-  /// Best-effort dedup: `at + 1` of the component's most recent queued wake
-  /// (0 = none queued). A busy router is woken by every link event it is
-  /// party to — up to ~10 identical (idx, cycle) wakes per cycle otherwise.
-  std::vector<Cycle> last_wake_at_;
-  /// Link-delivery queue: same bucket-ring layout as the
-  /// wake queue, but each bucket is a bitmap over record values (see
-  /// schedule_delivery) — insertion is one OR, duplicates collapse, and
-  /// set-bit iteration yields the sweep's accept order with no sorting.
-  /// Replaces the per-active-router scan of all ten link peeks per cycle
-  /// with a dispatch of exactly the deliveries that are due.
-  std::vector<std::vector<std::uint64_t>> delivery_buckets_;
-  std::vector<std::uint32_t> overdue_deliveries_;
-  std::vector<std::uint64_t> due_delivery_words_;  ///< Per-step scratch.
   int stepped_last_cycle_ = 0;
 #ifdef RNOC_INVARIANTS
   std::unique_ptr<NocChecker> checker_;

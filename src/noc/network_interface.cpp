@@ -35,7 +35,7 @@ void NetworkInterface::enqueue(PacketDesc p) {
   stats_.queue_peak = std::max<std::uint64_t>(stats_.queue_peak, queue_.size());
   if (was_idle) {
     if (counters_) ++counters_->active_injectors;
-    if (wake_hook_) wake_hook_();
+    if (event_hook_ != nullptr) event_hook_(event_ctx_, event_rec_, 0);
   }
 }
 

@@ -78,7 +78,7 @@ class NetworkInterface {
 
   /// Restores the NI to its just-constructed state (Mesh::reset_for_run).
   /// Simulator-owned hooks (delivery, inject gate, sent) are cleared — the
-  /// next Simulator re-wires them; mesh wiring (links, wake hook, counters,
+  /// next Simulator re-wires them; mesh wiring (links, event hook, counters,
   /// checker, observer) is kept.
   void reset_for_run();
 
@@ -141,10 +141,14 @@ class NetworkInterface {
   /// Tracks delivered packets and whether this NI has injection work.
   void set_counters(NetCounters* c) { counters_ = c; }
 
-  /// Scheduling hook (set by the Mesh): invoked when a packet is enqueued so
-  /// the mesh can mark this NI runnable without polling all NIs.
-  using WakeHook = std::function<void()>;
-  void set_wake_hook(WakeHook hook) { wake_hook_ = std::move(hook); }
+  /// Scheduling hook (set by the Mesh), the links' EventHook: invoked with
+  /// record `rec` and cycle 0 (already due) when a packet is enqueued on an
+  /// idle NI, so the mesh can mark this NI runnable without polling all NIs.
+  void set_event_hook(Link::EventHook fn, void* ctx, std::uint32_t rec) {
+    event_hook_ = fn;
+    event_ctx_ = ctx;
+    event_rec_ = rec;
+  }
 
 #ifdef RNOC_INVARIANTS
   /// Invariant checker (set by the Mesh in checked builds): every ejected
@@ -203,7 +207,9 @@ class NetworkInterface {
   NiStats stats_;
   DeliveryHook hook_;
   NetCounters* counters_ = nullptr;
-  WakeHook wake_hook_;
+  Link::EventHook event_hook_ = nullptr;
+  void* event_ctx_ = nullptr;
+  std::uint32_t event_rec_ = 0;
   InjectGate inject_gate_;
   SentHook sent_hook_;
 #ifdef RNOC_INVARIANTS

@@ -261,26 +261,14 @@ void Router::step_accept(Cycle now) {
   }
 }
 
-void Router::step_accept_event(Cycle now) {
-  // Identical to step_accept: a take_flit / take_credit call whose peek lies
-  // in the future returns nullopt without side effects (the EccLink error
-  // roll only happens on an actual in-ring delivery, which the peek covers),
-  // so gating the calls is exact.
-  for (int p = 0; p < kMeshPorts; ++p) {
-    if (Link* l = in_links_[static_cast<std::size_t>(p)];
-        l && l->next_flit_ready() <= now)
-      accept_flit_from(*l, p, now);
-    if (Link* l = out_links_[static_cast<std::size_t>(p)];
-        l && l->next_credit_ready() <= now)
-      drain_credits_from(*l, p, now);
-  }
-}
-
 Cycle Router::accept_flit_due(int p, Cycle now) {
   Link* l = in_links_[static_cast<std::size_t>(p)];
   if (l == nullptr) return kNeverCycle;
   // The peek guard keeps spurious deliveries (an already-taken or retimed
-  // flit) side-effect free, exactly like step_accept_event.
+  // flit) side-effect free: a take_flit call whose peek lies in the future
+  // returns nullopt without side effects (the EccLink error roll only
+  // happens on an actual in-ring delivery, which the peek covers), so
+  // gating the call is exact and bit-identical to step_accept.
   if (l->next_flit_ready() <= now) accept_flit_from(*l, p, now);
   return l->next_flit_ready();
 }

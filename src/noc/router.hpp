@@ -95,11 +95,6 @@ class Router {
   void step_va(Cycle now);
   void step_rc(Cycle now);
 
-  /// Event-core accept stage: bit-identical to step_accept, but consults
-  /// the links' next_flit_ready / next_credit_ready peeks so idle ports
-  /// cost two compares.
-  void step_accept_event(Cycle now);
-
   /// FullSweep oracle: overwrites the incrementally maintained VC-state
   /// masks with masks recomputed from the VCs' states. Called before each
   /// mask-driven stage, so the oracle never depends on the upkeep the other
@@ -273,8 +268,8 @@ class Router {
  private:
   friend class RouterTestPeer;
 
-  /// Shared bodies of step_accept / step_accept_event: processing of one
-  /// taken flit and one output link's credit drain.
+  /// Shared bodies of step_accept / accept_flit_due / drain_credits_due:
+  /// processing of one taken flit and one output link's credit drain.
   void accept_flit_from(Link& l, int p, Cycle now);
   void drain_credits_from(Link& l, int p, Cycle now);
 

@@ -87,10 +87,6 @@ void Simulator::schedule_injection(NodeId node, Cycle from, Cycle source_end) {
 SimReport Simulator::run() {
   require(!ran_, "Simulator::run: one-shot; construct a new Simulator");
   ran_ = true;
-  return cfg_.mesh.core == SimCore::EventDriven ? run_event() : run_sweep();
-}
-
-SimReport Simulator::run_sweep() {
   const Cycle source_end = cfg_.warmup + cfg_.measure;
   const Cycle hard_end = source_end + cfg_.drain_limit;
 
@@ -99,76 +95,15 @@ SimReport Simulator::run_sweep() {
   Cycle last_progress = 0;
   std::vector<PacketDesc> created;
 
-  Cycle now = 0;
-  for (; now < hard_end; ++now) {
-    if (injector_.next_due_cycle() <= now) {
-      const int fresh_faults = injector_.apply_due(now, mesh_);
-      if (degraded_ && fresh_faults > 0) degraded_->on_faults_injected(now);
-    }
-    if (now < source_end) {
-      for (NodeId n = 0; n < mesh_.nodes(); ++n) {
-        created.clear();
-        traffic_->generate(now, n, node_rngs_[static_cast<std::size_t>(n)],
-                           created);
-        for (PacketDesc& p : created) {
-          p.id = next_packet_id_++;
-          p.src = n;
-          p.created = now;
-          if (p.dst == n) continue;
-          if (degraded_ && !degraded_->admit(p)) continue;
-          mesh_.ni(n).enqueue(p);
-        }
-      }
-    }
-    release_responses(now);
-    mesh_.step(now);
-    if (degraded_) degraded_->step(now);
-    if (cfg_.telemetry_interval > 0 && now % cfg_.telemetry_interval == 0)
-      occupancy_.sample(mesh_);
-
-    // Progress watchdog (all checks O(1) via the mesh's running counters).
-    const std::uint64_t received = mesh_.packets_delivered();
-    if (received != last_received) {
-      last_received = received;
-      last_progress = now;
-    } else if (now - last_progress >= cfg_.progress_timeout) {
-      if (mesh_.flits_in_network() > 0 || !mesh_.all_injection_idle()) {
-        rep.deadlock_suspected = true;
-        ++now;
-        break;
-      }
-      last_progress = now;  // Genuinely idle: nothing to deliver.
-    }
-
-    // Early exit once drained (and, in degraded mode, once every tracked
-    // packet is acknowledged or dropped — a pending retransmission keeps
-    // the run alive even with an empty network).
-    if (now >= source_end && pending_responses_.empty() &&
-        mesh_.flits_in_network() == 0 && mesh_.all_injection_idle() &&
-        (!degraded_ || degraded_->quiescent())) {
-      ++now;
-      break;
-    }
-  }
-
-  finish_report(rep, now);
-  return rep;
-}
-
-SimReport Simulator::run_event() {
-  const Cycle source_end = cfg_.warmup + cfg_.measure;
-  const Cycle hard_end = source_end + cfg_.drain_limit;
-
-  SimReport rep;
-  std::uint64_t last_received = 0;
-  Cycle last_progress = 0;
-  std::vector<PacketDesc> created;
-
-  // Traffic models that replay their RNG draws exactly (synthetic patterns)
-  // let the core jump straight to each node's next injection; anything else
-  // is swept per cycle while sources run, and the clock only fast-forwards
-  // once the source window closes.
-  const bool event_traffic = traffic_->supports_event_injection();
+  // The FullSweep oracle steps every cycle and draws every node's traffic
+  // per cycle. The event core fast-forwards the clock, and traffic models
+  // that replay their RNG draws exactly (synthetic patterns) let it jump
+  // straight to each node's next injection; anything else is swept per
+  // cycle while sources run, and the clock only fast-forwards once the
+  // source window closes.
+  const bool fast_forward = cfg_.mesh.core == SimCore::EventDriven;
+  const bool event_traffic =
+      fast_forward && traffic_->supports_event_injection();
   if (event_traffic) {
     pending_inj_.assign(static_cast<std::size_t>(mesh_.nodes()), {});
     for (NodeId n = 0; n < mesh_.nodes(); ++n)
@@ -219,8 +154,9 @@ SimReport Simulator::run_event() {
     if (cfg_.telemetry_interval > 0 && now % cfg_.telemetry_interval == 0)
       occupancy_.sample(mesh_);
 
-    // Progress watchdog — identical to the sweep's; skipped cycles cannot
-    // deliver packets, so last_progress evolves identically.
+    // Progress watchdog (all checks O(1) via the mesh's running counters).
+    // Fast-forwarded cycles cannot deliver packets, so last_progress
+    // evolves as under the per-cycle sweep.
     const std::uint64_t received = mesh_.packets_delivered();
     if (received != last_received) {
       last_received = received;
@@ -234,6 +170,9 @@ SimReport Simulator::run_event() {
       last_progress = now;  // Genuinely idle: nothing to deliver.
     }
 
+    // Early exit once drained (and, in degraded mode, once every tracked
+    // packet is acknowledged or dropped — a pending retransmission keeps
+    // the run alive even with an empty network).
     if (now >= source_end && pending_responses_.empty() &&
         mesh_.flits_in_network() == 0 && mesh_.all_injection_idle() &&
         (!degraded_ || degraded_->quiescent())) {
@@ -241,29 +180,32 @@ SimReport Simulator::run_event() {
       break;
     }
 
-    // Idle fast-forward: jump to the earliest cycle at which the loop body
-    // can differ from a no-op. Every candidate below is exact — a gated
-    // call before its due cycle does nothing — so skipped cycles are
-    // provably identical to the sweep stepping them.
-    Cycle target = mesh_.next_event_cycle();
-    target = std::min(target, injector_.next_due_cycle());
-    target = std::min(target, pending_responses_.next_cycle());
-    if (degraded_) target = std::min(target, degraded_->next_due_cycle());
-    if (now < source_end) {
-      if (event_traffic) {
-        target = std::min(target, traffic_events_.next_cycle());
-        // The cycle the source window closes flips early-exit eligibility;
-        // step it even if no event lands there.
-        target = std::min(target, source_end);
-      } else {
-        target = now + 1;  // Per-cycle generate() draws cannot be skipped.
+    Cycle target = now + 1;
+    if (fast_forward) {
+      // Idle fast-forward: jump to the earliest cycle at which the loop
+      // body can differ from a no-op. Every candidate below is exact — a
+      // gated call before its due cycle does nothing — so skipped cycles
+      // are provably identical to the sweep stepping them.
+      target = mesh_.next_event_cycle();
+      target = std::min(target, injector_.next_due_cycle());
+      target = std::min(target, pending_responses_.next_cycle());
+      if (degraded_) target = std::min(target, degraded_->next_due_cycle());
+      if (now < source_end) {
+        if (event_traffic) {
+          target = std::min(target, traffic_events_.next_cycle());
+          // The cycle the source window closes flips early-exit
+          // eligibility; step it even if no event lands there.
+          target = std::min(target, source_end);
+        } else {
+          target = now + 1;  // Per-cycle generate() draws cannot be skipped.
+        }
       }
+      if (cfg_.telemetry_interval > 0)
+        target = std::min(target, (now / cfg_.telemetry_interval + 1) *
+                                      cfg_.telemetry_interval);
+      // The watchdog check runs live at its trigger cycle.
+      target = std::min(target, last_progress + cfg_.progress_timeout);
     }
-    if (cfg_.telemetry_interval > 0)
-      target = std::min(
-          target, (now / cfg_.telemetry_interval + 1) * cfg_.telemetry_interval);
-    // The watchdog check runs live at its trigger cycle.
-    target = std::min(target, last_progress + cfg_.progress_timeout);
     now = std::max(now + 1, std::min(target, hard_end));
   }
 

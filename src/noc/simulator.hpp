@@ -3,7 +3,6 @@
 #pragma once
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -75,9 +74,11 @@ class Simulator {
   void set_fault_plan(fault::FaultPlan plan);
 
   /// Runs warmup + measurement + drain and returns the report. One-shot.
-  /// Dispatches on SimConfig::mesh.core: the EventDriven core additionally
-  /// fast-forwards the clock across provably idle stretches; all cores
-  /// return bit-identical reports (test-enforced).
+  /// One loop serves both cores (SimConfig::mesh.core): FullSweep steps
+  /// every cycle and draws traffic per node per cycle; EventDriven also
+  /// injects from per-node events where the traffic model allows and
+  /// fast-forwards the clock across provably idle stretches. Both return
+  /// bit-identical reports (test-enforced).
   SimReport run();
 
   Mesh& mesh() { return mesh_; }
@@ -92,33 +93,14 @@ class Simulator {
   /// SimConfig::telemetry_interval was set.
   const OccupancySampler& occupancy() const { return occupancy_; }
 
-  /// A response waiting for its ready cycle. `seq` is a monotonic enqueue
-  /// counter used as tie-break: std::priority_queue is not stable, so
-  /// equal-`ready` responses would otherwise pop in an implementation-
-  /// defined order and runs would not reproduce across standard libraries.
-  /// (The simulator itself now queues responses on the seq-stable
-  /// EventQueue; this struct remains as the documented ordering contract,
-  /// exercised directly by the determinism tests.)
-  struct PendingResponse {
-    Cycle ready;
-    std::uint64_t seq;
-    traffic::Response response;
-    bool operator>(const PendingResponse& o) const {
-      if (ready != o.ready) return ready > o.ready;
-      return seq > o.seq;
-    }
-  };
-
  private:
   Simulator(const SimConfig& cfg,
             std::shared_ptr<traffic::TrafficModel> traffic,
             std::unique_ptr<Mesh> owned, Mesh* external);
 
-  SimReport run_sweep();
-  SimReport run_event();
   void finish_report(SimReport& rep, Cycle end);
   void release_responses(Cycle now);
-  /// Event core: scans `node`'s source from `from` (exclusive horizon
+  /// Event traffic: scans `node`'s source from `from` (exclusive horizon
   /// `source_end`) and queues its next injection cycle, packets parked in
   /// pending_inj_ until the clock reaches it.
   void schedule_injection(NodeId node, Cycle from, Cycle source_end);
@@ -130,6 +112,9 @@ class Simulator {
   fault::FaultInjector injector_;
   std::vector<Rng> node_rngs_;
   Rng resp_rng_;
+  /// Responses waiting for their ready cycle, FIFO among equal ready
+  /// cycles (EventQueue's seq tie-break), so runs reproduce across
+  /// standard libraries.
   EventQueue<traffic::Response> pending_responses_;
   /// Event core: per-node next-injection events, tie-broken by node id so
   /// same-cycle injections enqueue in the sweep's ascending-node order.

@@ -1,7 +1,8 @@
-// Tests for the simulator fast path: the RingBuffer backing VC/link FIFOs,
-// the mesh's incremental accounting counters, bit-identical behaviour of
-// active-router scheduling vs the full per-cycle sweep, and the parallel
-// sweep runner.
+// Tests for the simulator fast path: the EventQueue that orders pending
+// responses, the RingBuffer backing VC/link FIFOs, the mesh's incremental
+// accounting counters, bit-identical behaviour of the EventDriven core (one
+// schedule of per-cycle event-record bitmaps, at link latencies 1 to 3) vs
+// the FullSweep oracle, and the parallel sweep runner.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "fault/fault_injector.hpp"
+#include "noc/event_queue.hpp"
 #include "noc/ring_buffer.hpp"
 #include "noc/simulator.hpp"
 #include "noc/sweep.hpp"
@@ -25,27 +27,24 @@ namespace {
 TEST(PendingResponseOrder, EqualReadyPopsInEnqueueOrder) {
   // Regression: the response queue was keyed on `ready` alone, so
   // equal-cycle responses popped in an implementation-defined heap order.
-  // The monotonic `seq` tie-break pins FIFO order among equals.
-  std::priority_queue<Simulator::PendingResponse,
-                      std::vector<Simulator::PendingResponse>, std::greater<>>
-      q;
-  std::uint64_t seq = 0;
+  // EventQueue's monotonic `seq` tie-break pins FIFO order among equals;
+  // this is the queue the Simulator holds its pending responses on.
+  EventQueue<traffic::Response> q;
   for (int i = 0; i < 8; ++i) {
     traffic::Response r;
     r.node = static_cast<NodeId>(i);
-    q.push({/*ready=*/100, seq++, r});
+    q.push(/*at=*/100, r);
   }
   // An earlier-ready straggler pushed last must still pop first.
   traffic::Response early;
   early.node = 99;
-  q.push({/*ready=*/50, seq++, early});
+  q.push(/*at=*/50, early);
 
-  EXPECT_EQ(q.top().response.node, 99);
-  q.pop();
+  EXPECT_EQ(q.next_cycle(), 50u);
+  EXPECT_EQ(q.pop().node, 99);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(q.top().ready, 100u);
-    EXPECT_EQ(q.top().response.node, static_cast<NodeId>(i));
-    q.pop();
+    EXPECT_EQ(q.next_cycle(), 100u);
+    EXPECT_EQ(q.pop().node, static_cast<NodeId>(i));
   }
   EXPECT_TRUE(q.empty());
 }
@@ -170,6 +169,8 @@ struct Scenario {
   core::RouterMode mode;
   bool faults;
   bool ecc;
+  Cycle link_latency = 1;  ///< The event ring holds link_latency + 2 cycles.
+  bool coherence = false;  ///< Request/response traffic instead of uniform.
 };
 
 SimConfig scenario_config(const Scenario& s, SimCore core) {
@@ -177,6 +178,7 @@ SimConfig scenario_config(const Scenario& s, SimCore core) {
   cfg.mesh.dims = {4, 4};
   cfg.mesh.router.mode = s.mode;
   cfg.mesh.core = core;
+  cfg.mesh.link_latency = s.link_latency;
   if (s.ecc) {
     cfg.mesh.link_single_ber = 1e-3;
     cfg.mesh.link_double_ber = 1e-4;
@@ -193,7 +195,12 @@ SimReport run_scenario(const Scenario& s, SimCore core) {
   traffic::SyntheticConfig tc;
   tc.injection_rate = 0.08;
   tc.packet_size = 4;
-  Simulator sim(cfg, std::make_shared<traffic::SyntheticTraffic>(tc));
+  std::shared_ptr<traffic::TrafficModel> traffic;
+  if (s.coherence)
+    traffic = traffic::make_traffic(traffic::splash2_profiles().front());
+  else
+    traffic = std::make_shared<traffic::SyntheticTraffic>(tc);
+  Simulator sim(cfg, traffic);
   if (s.faults) {
     // A baseline router tolerates nothing, so tolerable placement is only
     // possible in Protected mode; baseline runs take faults that may stall
@@ -234,6 +241,29 @@ TEST(ActiveScheduling, BitIdenticalToFullSweep) {
       {"protected-clean", core::RouterMode::Protected, false, false},
       {"protected-faulted", core::RouterMode::Protected, true, false},
       {"protected-faulted-ecc", core::RouterMode::Protected, true, true},
+      // Multi-cycle links: events land up to link_latency cycles out.
+      {"lat2-baseline-clean", core::RouterMode::Baseline, false, false, 2},
+      {"lat2-baseline-faulted", core::RouterMode::Baseline, true, false, 2},
+      {"lat2-protected-clean", core::RouterMode::Protected, false, false, 2},
+      {"lat2-protected-faulted", core::RouterMode::Protected, true, false, 2},
+      {"lat2-protected-ecc", core::RouterMode::Protected, false, true, 2},
+      {"lat2-protected-faulted-ecc", core::RouterMode::Protected, true, true,
+       2},
+      {"lat2-coherence-clean", core::RouterMode::Protected, false, false, 2,
+       true},
+      {"lat2-coherence-faulted-ecc", core::RouterMode::Protected, true, true,
+       2, true},
+      {"lat3-baseline-clean", core::RouterMode::Baseline, false, false, 3},
+      {"lat3-baseline-faulted", core::RouterMode::Baseline, true, false, 3},
+      {"lat3-protected-clean", core::RouterMode::Protected, false, false, 3},
+      {"lat3-protected-faulted", core::RouterMode::Protected, true, false, 3},
+      {"lat3-protected-ecc", core::RouterMode::Protected, false, true, 3},
+      {"lat3-protected-faulted-ecc", core::RouterMode::Protected, true, true,
+       3},
+      {"lat3-coherence-clean", core::RouterMode::Protected, false, false, 3,
+       true},
+      {"lat3-coherence-faulted-ecc", core::RouterMode::Protected, true, true,
+       3, true},
   };
   for (const Scenario& s : scenarios) {
     SCOPED_TRACE(s.name);

@@ -13,7 +13,8 @@ Rule families (see README "Static analysis" and tools/analyze/baseline.json):
                     checkpoints must be pure functions of (spec, seed).
 
   hotpath-alloc     From Router::step_*, the VC/switch allocators, the
-                    crossbar and the link push paths, ban any reachable
+                    crossbar, the link push paths and the mesh scheduler
+                    entry (Mesh::link_event), ban any reachable
                     allocation (operator new, malloc family). The router
                     hot path is allocation-free by design (PR 1); this
                     keeps it that way by construction. Exception-throw
@@ -106,6 +107,7 @@ ALLOC_ROOTS = [
     r"\brnoc::noc::Crossbar::(can_traverse|traverse)\(",
     r"\brnoc::noc::Link::push[\w]*\(",
     r"\brnoc::noc::EccLink::push[\w]*\(",
+    r"\brnoc::noc::Mesh::link_event\(",
 ]
 # Allocating operator new (any overload without a placement void*
 # parameter) and the malloc family.
