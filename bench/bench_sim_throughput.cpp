@@ -12,6 +12,10 @@
 //     flit-hops/s (crossbar traversals per wall second — work actually done,
 //     so an idle-skipping core cannot inflate it by skipping cycles), plus
 //     the event/sweep speedup and a bit-identity check of the two reports.
+//     Each load point times five interleaved (FullSweep, EventDriven) pairs
+//     and reports the medians — rates per core, and the per-pair speedup —
+//     with the speedup's min-max spread, so one noisy run on a shared host
+//     cannot move the gated ratio.
 //
 //  2. The Figure-7 app sweep timed twice — full-sweep sequential reference
 //     (the seed's loop structure: every router, every stage, every cycle,
@@ -104,12 +108,22 @@ TimedRun time_load_run(const noc::SimConfig& base, double load,
   return r;
 }
 
+/// Interleaved (FullSweep, EventDriven) pairs timed per load point.
+constexpr int kLoadPairs = 5;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 struct LoadPoint {
   double load = 0.0;
   const char* key;  ///< JSON key stem, e.g. "load05".
   double sweep_cps = 0.0, sweep_fhps = 0.0;
   double event_cps = 0.0, event_fhps = 0.0;
-  double speedup = 0.0;
+  double speedup = 0.0;  ///< Median of the per-pair speedups.
+  double speedup_lo = 0.0, speedup_hi = 0.0;  ///< Their min and max.
   bool identical = false;
 };
 
@@ -130,20 +144,34 @@ std::vector<LoadPoint> run_load_sweep(bool smoke) {
       {0.40, "load40", 0, 0, 0, 0, 0, false},
   };
   for (LoadPoint& p : points) {
-    const TimedRun sweep =
-        time_load_run(base, p.load, noc::SimCore::FullSweep);
-    const TimedRun event =
-        time_load_run(base, p.load, noc::SimCore::EventDriven);
-    p.sweep_cps = static_cast<double>(sweep.rep.cycles_run) / sweep.seconds;
-    p.sweep_fhps =
-        static_cast<double>(sweep.rep.router_events.flits_traversed) /
-        sweep.seconds;
-    p.event_cps = static_cast<double>(event.rep.cycles_run) / event.seconds;
-    p.event_fhps =
-        static_cast<double>(event.rep.router_events.flits_traversed) /
-        event.seconds;
-    p.speedup = p.event_cps / p.sweep_cps;
-    p.identical = report_equal(sweep.rep, event.rep);
+    std::vector<double> sweep_cps, sweep_fhps, event_cps, event_fhps, speedup;
+    p.identical = true;
+    for (int i = 0; i < kLoadPairs; ++i) {
+      const TimedRun sweep =
+          time_load_run(base, p.load, noc::SimCore::FullSweep);
+      const TimedRun event =
+          time_load_run(base, p.load, noc::SimCore::EventDriven);
+      const auto cycles = [](const TimedRun& r) {
+        return static_cast<double>(r.rep.cycles_run) / r.seconds;
+      };
+      const auto hops = [](const TimedRun& r) {
+        return static_cast<double>(r.rep.router_events.flits_traversed) /
+               r.seconds;
+      };
+      sweep_cps.push_back(cycles(sweep));
+      sweep_fhps.push_back(hops(sweep));
+      event_cps.push_back(cycles(event));
+      event_fhps.push_back(hops(event));
+      speedup.push_back(cycles(event) / cycles(sweep));
+      p.identical = p.identical && report_equal(sweep.rep, event.rep);
+    }
+    p.sweep_cps = median(sweep_cps);
+    p.sweep_fhps = median(sweep_fhps);
+    p.event_cps = median(event_cps);
+    p.event_fhps = median(event_fhps);
+    p.speedup = median(speedup);
+    p.speedup_lo = *std::min_element(speedup.begin(), speedup.end());
+    p.speedup_hi = *std::max_element(speedup.begin(), speedup.end());
   }
   return points;
 }
@@ -203,14 +231,17 @@ int run(bool smoke) {
   const auto points = run_load_sweep(smoke);
   bool load_identical = true;
   double speedup_min = 0.0;
-  std::printf("Simulator cores, 8x8 uniform random (size-5 packets)\n\n");
-  std::printf("  %-6s %14s %14s %14s %14s %9s %s\n", "load", "sweep cyc/s",
-              "event cyc/s", "sweep fh/s", "event fh/s", "speedup",
-              "identical");
+  std::printf("Simulator cores, 8x8 uniform random (size-5 packets), "
+              "median of %d interleaved pairs\n\n",
+              kLoadPairs);
+  std::printf("  %-6s %14s %14s %14s %14s %9s %13s %s\n", "load",
+              "sweep cyc/s", "event cyc/s", "sweep fh/s", "event fh/s",
+              "speedup", "spread", "identical");
   for (const auto& p : points) {
-    std::printf("  %-6.2f %14.0f %14.0f %14.0f %14.0f %8.1fx %s\n", p.load,
-                p.sweep_cps, p.event_cps, p.sweep_fhps, p.event_fhps,
-                p.speedup, p.identical ? "yes" : "NO (BUG)");
+    std::printf("  %-6.2f %14.0f %14.0f %14.0f %14.0f %8.2fx %5.2f-%5.2fx %s\n",
+                p.load, p.sweep_cps, p.event_cps, p.sweep_fhps, p.event_fhps,
+                p.speedup, p.speedup_lo, p.speedup_hi,
+                p.identical ? "yes" : "NO (BUG)");
     load_identical = load_identical && p.identical;
     speedup_min = speedup_min == 0.0 ? p.speedup
                                      : std::min(speedup_min, p.speedup);
@@ -298,9 +329,11 @@ int run(bool smoke) {
                    ", \"%s_event_cycles_per_sec\": %.0f"
                    ", \"%s_sweep_flit_hops_per_sec\": %.0f"
                    ", \"%s_event_flit_hops_per_sec\": %.0f"
-                   ", \"%s_event_speedup\": %.3f",
+                   ", \"%s_event_speedup\": %.3f"
+                   ", \"%s_event_speedup_spread\": %.3f",
                    p.key, p.sweep_cps, p.key, p.event_cps, p.key,
-                   p.sweep_fhps, p.key, p.event_fhps, p.key, p.speedup);
+                   p.sweep_fhps, p.key, p.event_fhps, p.key, p.speedup,
+                   p.key, (p.speedup_hi - p.speedup_lo) / p.speedup);
     std::fprintf(
         out,
         ", \"event_speedup_min\": %.3f, \"meets_10x\": %s, "

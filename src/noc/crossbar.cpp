@@ -7,33 +7,4 @@ Crossbar::Crossbar(int ports, core::RouterMode mode)
   require(ports >= 1, "Crossbar: need at least one port");
 }
 
-bool Crossbar::can_traverse(const StGrant& g,
-                            const fault::RouterFaultState& faults) const {
-  using fault::SiteType;
-  require(g.mux >= 0 && g.mux < ports_ && g.out_port >= 0 &&
-              g.out_port < ports_,
-          "Crossbar::can_traverse: grant out of range");
-  if (faults.count() == 0) {
-    // Fault-free fast path: the primary path always works; a secondary-path
-    // grant (stale FSP from an expired transient) is valid iff it names the
-    // designated neighbour mux, same as the full check below.
-    if (g.mux == g.out_port) return true;
-    return mode_ != core::RouterMode::Baseline &&
-           core::secondary_mux_for_output(g.out_port, ports_) == g.mux;
-  }
-  if (faults.has(SiteType::XbMux, g.mux)) return false;
-  if (mode_ == core::RouterMode::Baseline) {
-    // The generic crossbar has no demuxes or output-select muxes.
-    return g.mux == g.out_port;
-  }
-  if (faults.has(SiteType::XbPSelect, g.out_port)) return false;
-  if (g.mux != g.out_port) {
-    // Secondary path: through the demux hanging off the borrowed mux.
-    if (core::secondary_mux_for_output(g.out_port, ports_) != g.mux)
-      return false;
-    if (faults.has(SiteType::XbDemux, g.mux)) return false;
-  }
-  return true;
-}
-
 }  // namespace rnoc::noc

@@ -19,17 +19,20 @@ enum class FlitType : std::uint8_t {
 /// the credit returned upstream must name, and it is rewritten to the
 /// downstream VC id at switch traversal.
 struct Flit {
-  FlitType type = FlitType::Head;
+  // Laid out widest-first so a flit packs into 48 bytes: it is copied on
+  // every link push, buffer write and delivery. `seq` and `vc` are narrow:
+  // a packet has at most 65535 flits, a port at most 32 VCs.
   PacketId packet = 0;
-  NodeId src = kInvalidNode;
-  NodeId dst = kInvalidNode;
-  std::uint32_t seq = 0;   ///< Flit index within the packet.
-  std::uint16_t size = 1;  ///< Total flits in the packet.
-  std::uint8_t traffic_class = 0;
-  int vc = -1;
   Cycle created = 0;   ///< Cycle the packet was created at the source NI.
   Cycle injected = 0;  ///< Cycle the head flit entered the network.
   std::uint64_t payload = 0;  ///< Protocol payload (e.g. original requester).
+  NodeId src = kInvalidNode;
+  NodeId dst = kInvalidNode;
+  std::int16_t vc = -1;
+  std::uint16_t seq = 0;   ///< Flit index within the packet.
+  std::uint16_t size = 1;  ///< Total flits in the packet.
+  FlitType type = FlitType::Head;
+  std::uint8_t traffic_class = 0;
 
   bool is_head() const {
     return type == FlitType::Head || type == FlitType::HeadTail;
@@ -38,6 +41,8 @@ struct Flit {
     return type == FlitType::Tail || type == FlitType::HeadTail;
   }
 };
+
+static_assert(sizeof(Flit) == 48, "Flit layout: keep it at 48 bytes");
 
 /// A packet waiting at a network interface for injection.
 struct PacketDesc {

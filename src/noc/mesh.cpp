@@ -43,7 +43,11 @@ void Mesh::note_channel(Link* link, Router* up_router, int up_port,
 #endif
 }
 
-Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
+Mesh::Mesh(const MeshConfig& cfg)
+    : cfg_(cfg),
+      self_heal_(cfg.dims),
+      events_(static_cast<std::size_t>(cfg.dims.nodes()) * 16,
+              cfg.link_latency + 2) {
   require(cfg.dims.x >= 2 && cfg.dims.y >= 2, "Mesh: need at least 2x2");
   const int n = cfg.dims.nodes();
   routers_.reserve(static_cast<std::size_t>(n));
@@ -57,12 +61,8 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
   active_router_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   active_ni_words_.assign(static_cast<std::size_t>(n + 63) / 64, 0);
   require(cfg.link_latency >= 1, "Mesh: link latency must be >= 1");
-  // Event bitmaps: one bit per possible record value (16 per router).
-  const std::size_t words = (static_cast<std::size_t>(n) * 16 + 63) / 64;
-  event_buckets_.assign(static_cast<std::size_t>(cfg.link_latency) + 2,
-                        std::vector<std::uint64_t>(words, 0));
-  overdue_words_.assign(words, 0);
-  due_words_.assign(words, 0);
+  due_words_.assign(events_.words(), 0);
+  EventRing* ring = cfg.core == SimCore::EventDriven ? &events_ : nullptr;
 
 #ifdef RNOC_INVARIANTS
   checker_ = std::make_unique<NocChecker>();
@@ -78,8 +78,7 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
     routers_[static_cast<std::size_t>(i)].set_self_heal(&self_heal_);
     NetworkInterface& ni = nis_[static_cast<std::size_t>(i)];
     ni.set_counters(&counters_);
-    ni.set_event_hook(&Mesh::link_event_hook, this,
-                      static_cast<std::uint32_t>(i) << 4 | kNiWake);
+    ni.set_event_ring(ring, static_cast<std::uint32_t>(i) << 4 | kNiWake);
 #ifdef RNOC_INVARIANTS
     checker_->add_router(&routers_[static_cast<std::size_t>(i)]);
     checker_->add_ni(&ni);
@@ -93,6 +92,11 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
 
   const bool ecc = cfg.link_single_ber > 0.0 || cfg.link_double_ber > 0.0;
   std::uint64_t link_seed = cfg.ecc_seed;
+  // Two links per NI and per adjacent router pair; reserved up front so
+  // the routers' and NIs' link pointers stay valid.
+  links_.reserve(static_cast<std::size_t>(
+      2 * n + 2 * ((cfg.dims.x - 1) * cfg.dims.y +
+                   cfg.dims.x * (cfg.dims.y - 1))));
   // Each link notifies the consumer of its flits at the flit's arrival cycle
   // and the consumer of its credits at the credit's arrival cycle; those
   // are different components (flits flow downstream, credits upstream).
@@ -102,22 +106,17 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
   // record (kNiWake) suffices for them.
   auto make_link = [&](int flit_sink, int flit_port, int credit_sink,
                        int credit_port) -> Link* {
-    if (ecc) {
-      links_.push_back(std::make_unique<EccLink>(
-          cfg.link_single_ber, cfg.link_double_ber, ++link_seed,
-          cfg.link_latency));
-    } else {
-      links_.push_back(std::make_unique<Link>(cfg.link_latency));
-    }
-    Link* l = links_.back().get();
+    require(links_.size() < links_.capacity(), "Mesh: link count mismatch");
+    links_.emplace_back(cfg.link_latency,
+                        ecc ? LinkEcc{cfg.link_single_ber, cfg.link_double_ber,
+                                      ++link_seed}
+                            : LinkEcc{});
+    Link* l = &links_.back();
     l->set_counters(&counters_);
 #ifdef RNOC_TRACE
-    if (ecc) {
-      // Retransmit instants are charged to the flit consumer's node so they
-      // show up on that router's timeline next to the stall they cause.
-      const NodeId down = flit_sink < n ? flit_sink : flit_sink - n;
-      static_cast<EccLink*>(l)->set_observer(observer_.get(), down);
-    }
+    // Retransmit instants are charged to the flit consumer's node so they
+    // show up on that router's timeline next to the stall they cause.
+    l->set_observer(observer_.get(), flit_sink < n ? flit_sink : flit_sink - n);
 #endif
     const std::uint32_t frec =
         flit_port >= 0
@@ -129,7 +128,7 @@ Mesh::Mesh(const MeshConfig& cfg) : cfg_(cfg), self_heal_(cfg.dims) {
             ? static_cast<std::uint32_t>(credit_sink) << 4 |
                   static_cast<std::uint32_t>(credit_port) << 1 | 1u
             : static_cast<std::uint32_t>(credit_sink - n) << 4 | kNiWake;
-    l->set_event_hook(&Mesh::link_event_hook, this, frec, crec);
+    l->set_event_ring(ring, frec, crec);
     return l;
   };
 
@@ -221,22 +220,10 @@ void Mesh::set_routing_tables(const FaultAwareTables* tables) {
   for (auto& r : routers_) r.set_routing_tables(tables);
 }
 
-void Mesh::link_event(std::uint32_t rec, Cycle at) {
-  if (cfg_.core == SimCore::FullSweep) return;  // Steps everything anyway.
-  const std::uint64_t bit = std::uint64_t{1} << (rec & 63u);
-  if (at < next_drain_) {
-    overdue_words_[rec >> 6] |= bit;
-    return;
-  }
-  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
-  require(at - next_drain_ < nbuckets,
-          "Mesh::link_event: event beyond the link-latency horizon");
-  event_buckets_[at % nbuckets][rec >> 6] |= bit;
-}
-
 void Mesh::notify_fault(NodeId router) {
   require(router >= 0 && router < nodes(), "Mesh::notify_fault: bad node");
-  link_event(static_cast<std::uint32_t>(router) << 4 | kRouterWake, 0);
+  if (cfg_.core == SimCore::FullSweep) return;  // Steps everything anyway.
+  events_.schedule(static_cast<std::uint32_t>(router) << 4 | kRouterWake, 0);
 }
 
 bool Mesh::kill_router(NodeId n, Cycle now) {
@@ -285,9 +272,9 @@ bool Mesh::escape_class_clear(int evc) const {
       if (g.out_vc == evc) return false;
   }
   bool clear = true;
-  for (const auto& l : links_) {
+  for (const Link& l : links_) {
     if (!clear) break;
-    l->for_each_flit([&](const Flit& f) {
+    l.for_each_flit([&](const Flit& f) {
       if (f.vc == evc) clear = false;
     });
   }
@@ -390,8 +377,8 @@ int Mesh::reclaim_truncated(Cycle now) {
 }
 
 bool Mesh::links_idle() const {
-  for (const auto& l : links_)
-    if (!l->idle()) return false;
+  for (const Link& l : links_)
+    if (!l.idle()) return false;
   return true;
 }
 
@@ -444,23 +431,11 @@ void Mesh::step(Cycle now) {
 
 void Mesh::step_event_core(Cycle now) {
   // Collect the records due this step: everything overdue, plus the
-  // buckets of all cycles up to `now` (one bucket when stepped on
-  // consecutive cycles; the whole ring covers any larger gap). Buckets of
-  // cycles skipped by the idle fast-forward are provably empty: a pending
-  // record bounds next_event_cycle(). The merged set moves to due_words_,
-  // so a record that turns overdue during this step waits for the next.
-  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
-  Cycle from = next_drain_;
-  if (now >= nbuckets && from < now + 1 - nbuckets) from = now + 1 - nbuckets;
-  for (Cycle c = from; c <= now; ++c) {
-    auto& bucket = event_buckets_[c % nbuckets];
-    for (std::size_t w = 0; w < bucket.size(); ++w) {
-      overdue_words_[w] |= bucket[w];
-      bucket[w] = 0;
-    }
-  }
-  next_drain_ = now + 1;
-  due_words_.swap(overdue_words_);
+  // slots of all cycles up to `now`. Slots of cycles skipped by the idle
+  // fast-forward are provably empty: a pending record bounds
+  // next_event_cycle(). A record that turns overdue during this step waits
+  // for the next one.
+  events_.collect(now, due_words_);
 
   // Accept stage: dispatch exactly the due records instead of scanning
   // every active router's links. Ascending set-bit iteration reproduces the
@@ -495,7 +470,7 @@ void Mesh::step_event_core(Cycle now) {
       if (kind & 1u) {
         rt.drain_credits_due(p, now);
       } else if (rt.accept_flit_due(p, now) <= now) {
-        link_event(rec, now + 1);
+        events_.schedule(rec, now + 1);
       }
     } while (bits != 0);
   }
@@ -587,31 +562,22 @@ Cycle Mesh::next_event_cycle() const {
   std::uint64_t any = 0;
   for (const std::uint64_t w : active_router_words_) any |= w;
   for (const std::uint64_t w : active_ni_words_) any |= w;
-  for (const std::uint64_t w : overdue_words_) any |= w;
-  if (any != 0) return next_drain_;
+  if (any != 0) return events_.next_drain();
   // No active component: the next possible change is the earliest
-  // scheduled record. Buckets cover exactly [next_drain_, next_drain_ +
-  // nbuckets).
-  const Cycle nbuckets = static_cast<Cycle>(event_buckets_.size());
-  for (Cycle c = next_drain_; c < next_drain_ + nbuckets; ++c) {
-    for (const std::uint64_t w : event_buckets_[c % nbuckets]) any |= w;
-    if (any != 0) return c;
-  }
-  return kNeverCycle;
+  // scheduled (or overdue) record.
+  return events_.next_cycle();
 }
 
 void Mesh::reset_for_run() {
   for (auto& r : routers_) r.reset_for_run();
   for (auto& ni : nis_) ni.reset_for_run();
-  for (auto& l : links_) l->reset_for_run();
+  for (Link& l : links_) l.reset_for_run();
   self_heal_.reset();
   counters_ = NetCounters{};
   std::fill(active_router_words_.begin(), active_router_words_.end(), 0);
   std::fill(active_ni_words_.begin(), active_ni_words_.end(), 0);
-  for (auto& b : event_buckets_) std::fill(b.begin(), b.end(), 0);
-  std::fill(overdue_words_.begin(), overdue_words_.end(), 0);
+  events_.reset();
   std::fill(due_words_.begin(), due_words_.end(), 0);
-  next_drain_ = 0;
   stepped_last_cycle_ = 0;
 #ifdef RNOC_INVARIANTS
   checker_->reset_history(/*clear_delivery_tracks=*/true);
@@ -625,16 +591,14 @@ void Mesh::reset_for_run() {
     routers_[static_cast<std::size_t>(i)].set_observer(observer_.get());
     nis_[static_cast<std::size_t>(i)].set_observer(observer_.get());
   }
-  for (auto& l : links_)
-    if (auto* e = dynamic_cast<EccLink*>(l.get()))
-      e->set_observer(observer_.get(), e->obs_node());
+  for (Link& l : links_) l.set_observer(observer_.get(), l.obs_node());
 #endif
 }
 
 int Mesh::recount_flits_in_network() const {
   int n = 0;
   for (const auto& r : routers_) n += r.buffered_flits();
-  for (const auto& l : links_) n += l->flits_in_flight();
+  for (const Link& l : links_) n += l.flits_in_flight();
   return n;
 }
 
@@ -654,12 +618,10 @@ std::vector<std::uint64_t> Mesh::stall_cycles_per_router() const {
 
 EccLinkStats Mesh::aggregate_ecc_stats() const {
   EccLinkStats s;
-  for (const auto& l : links_) {
-    if (const auto* e = dynamic_cast<const EccLink*>(l.get())) {
-      s.flits_delivered += e->stats().flits_delivered;
-      s.corrected_singles += e->stats().corrected_singles;
-      s.retransmissions += e->stats().retransmissions;
-    }
+  for (const Link& l : links_) {
+    s.flits_delivered += l.stats().flits_delivered;
+    s.corrected_singles += l.stats().corrected_singles;
+    s.retransmissions += l.stats().retransmissions;
   }
   return s;
 }

@@ -10,8 +10,8 @@
 //    with injection work are stepped; quiescent components are re-woken
 //    exactly at the cycle a link event becomes takeable. One schedule
 //    drives it: a ring of per-cycle bitmaps over event records, 16 per
-//    router (flit and credit deliveries, NI and router wakes), fed by one
-//    entry point, link_event. Adds per-stage event gating (link ready
+//    router (flit and credit deliveries, NI and router wakes), on which
+//    links and NIs mark their records directly. Adds per-stage event gating (link ready
 //    peeks, empty-mask stage skips) and stalled-router retirement; with
 //    Simulator's idle fast-forward it jumps the clock across cycles in
 //    which no component can make progress. Bit-identical to the full sweep
@@ -30,7 +30,7 @@
 #include <memory>
 #include <vector>
 
-#include "noc/ecc_link.hpp"
+#include "noc/event_ring.hpp"
 #include "noc/link.hpp"
 #include "noc/net_counters.hpp"
 #include "noc/network_interface.hpp"
@@ -54,8 +54,8 @@ struct MeshConfig {
   MeshDims dims{8, 8};
   RouterConfig router{};
   Cycle link_latency = 1;
-  /// Nonzero bit-upset probabilities turn every link into a SECDED-protected
-  /// EccLink (per-flit single/double upset rates; see noc/ecc_link.hpp).
+  /// Nonzero bit-upset probabilities give every link a SECDED-protected
+  /// datapath (per-flit single/double upset rates; see noc/link.hpp).
   double link_single_ber = 0.0;
   double link_double_ber = 0.0;
   std::uint64_t ecc_seed = 0x5ecded;
@@ -229,23 +229,16 @@ class Mesh {
                     NetworkInterface* up_ni, Router* down_router,
                     int down_port, NetworkInterface* down_ni);
 
-  /// Schedules event record `rec` at cycle `at`. A record encodes
-  /// `router << 4 | kind` with kind `port << 1 | 0` (flit due on the
-  /// router's input port), `port << 1 | 1` (credit due on its output port),
-  /// kNiWake (wake the router's NI) or kRouterWake (wake the router). Every
-  /// record lives in a per-cycle bitmap (bit `rec`), so draining a cycle's
-  /// set bits in ascending order reproduces the full sweep's accept order —
-  /// router ascending, port ascending, flit before credit — with dedup for
-  /// free. Draining a delivery or a router wake marks the router active, an
-  /// NI wake marks the NI active. A record at an already-drained cycle
-  /// (fault notification, NI enqueue) is OR-ed into the overdue bitmap,
-  /// which the next step drains first. The one entry point of the event
-  /// core's schedule: links and NIs reach it through link_event_hook, fault
-  /// notifications directly. FullSweep ignores it.
-  void link_event(std::uint32_t rec, Cycle at);
-  static void link_event_hook(void* ctx, std::uint32_t rec, Cycle at) {
-    static_cast<Mesh*>(ctx)->link_event(rec, at);
-  }
+  /// Event records of the event core's schedule (events_). A record
+  /// encodes `router << 4 | kind` with kind `port << 1 | 0` (flit due on
+  /// the router's input port), `port << 1 | 1` (credit due on its output
+  /// port), kNiWake (wake the router's NI) or kRouterWake (wake the
+  /// router). Draining a cycle's set bits in ascending order reproduces the
+  /// full sweep's accept order — router ascending, port ascending, flit
+  /// before credit — with dedup for free. Draining a delivery or a router
+  /// wake marks the router active, an NI wake marks the NI active. Links
+  /// and NIs schedule their records on the ring directly; fault
+  /// notifications go through notify_fault. FullSweep wires no ring.
   /// Record kinds past the port records (ports use kinds 0..9).
   static constexpr std::uint32_t kNiWake = 0xE;
   static constexpr std::uint32_t kRouterWake = 0xF;
@@ -256,7 +249,7 @@ class Mesh {
   MeshConfig cfg_;
   std::vector<Router> routers_;
   std::vector<NetworkInterface> nis_;
-  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<Link> links_;  ///< Sized once; routers and NIs point into it.
   NetCounters counters_;
   SelfHealNet self_heal_;  ///< Shared fault-vector net (inert until armed).
 
@@ -266,14 +259,12 @@ class Mesh {
   /// no dedup byte and no compaction, and retirement is a bit clear.
   std::vector<std::uint64_t> active_router_words_;
   std::vector<std::uint64_t> active_ni_words_;
-  /// The event schedule: a ring of per-cycle bitmaps over record values
-  /// (see link_event), one bit per record, 16 records per router. Every
-  /// event is at most link_latency cycles out, so bucket `at % size` gives
-  /// O(1) insert (one OR) and drain with no heap churn and no sorting.
-  std::vector<std::vector<std::uint64_t>> event_buckets_;
-  std::vector<std::uint64_t> overdue_words_;  ///< Records at drained cycles.
-  std::vector<std::uint64_t> due_words_;      ///< Per-step scratch.
-  Cycle next_drain_ = 0;  ///< First cycle whose bucket has not been drained.
+  /// The event schedule: per-cycle bitmaps over the records above, 16 per
+  /// router. Every event is at most link_latency + 1 cycles past the first
+  /// undrained cycle (a retransmission lands one cycle after its due
+  /// cycle), so the horizon is link_latency + 2.
+  EventRing events_;
+  std::vector<std::uint64_t> due_words_;  ///< Per-step scratch.
   int stepped_last_cycle_ = 0;
 #ifdef RNOC_INVARIANTS
   std::unique_ptr<NocChecker> checker_;

@@ -16,7 +16,7 @@ namespace rnoc::noc {
 struct NetCounters {
   /// Flits currently buffered in router input-port VCs.
   std::int64_t router_flits = 0;
-  /// Flits currently in flight on links (including an EccLink's held
+  /// Flits currently in flight on links (including a link's held
   /// retransmission slot).
   std::int64_t link_flits = 0;
   /// NIs with a queued or partially injected packet (!injection_idle()).

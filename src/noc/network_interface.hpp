@@ -73,7 +73,7 @@ class NetworkInterface {
 
   /// Event-core variant of step(): bit-identical, but consults the links'
   /// ready peeks so an idle ejection path / credit channel costs a compare
-  /// instead of a virtual take call.
+  /// instead of a delivery call.
   void step_event(Cycle now);
 
   /// Restores the NI to its just-constructed state (Mesh::reset_for_run).
@@ -141,12 +141,11 @@ class NetworkInterface {
   /// Tracks delivered packets and whether this NI has injection work.
   void set_counters(NetCounters* c) { counters_ = c; }
 
-  /// Scheduling hook (set by the Mesh), the links' EventHook: invoked with
-  /// record `rec` and cycle 0 (already due) when a packet is enqueued on an
-  /// idle NI, so the mesh can mark this NI runnable without polling all NIs.
-  void set_event_hook(Link::EventHook fn, void* ctx, std::uint32_t rec) {
-    event_hook_ = fn;
-    event_ctx_ = ctx;
+  /// Scheduling hook (set by the Mesh's event core): record `rec` is marked
+  /// due at once on `ring` when a packet is enqueued on an idle NI, so the
+  /// mesh can mark this NI runnable without polling all NIs.
+  void set_event_ring(EventRing* ring, std::uint32_t rec) {
+    event_ring_ = ring;
     event_rec_ = rec;
   }
 
@@ -192,6 +191,7 @@ class NetworkInterface {
   Link* to_router_ = nullptr;
   Link* from_router_ = nullptr;
   std::vector<OutVc> out_vcs_;
+  std::vector<std::uint32_t> vnet_vcs_;  ///< Per vnet: mask of its VCs.
   std::deque<PacketDesc> queue_;
 
   // Packet currently being serialized into flits.
@@ -207,8 +207,7 @@ class NetworkInterface {
   NiStats stats_;
   DeliveryHook hook_;
   NetCounters* counters_ = nullptr;
-  Link::EventHook event_hook_ = nullptr;
-  void* event_ctx_ = nullptr;
+  EventRing* event_ring_ = nullptr;
   std::uint32_t event_rec_ = 0;
   InjectGate inject_gate_;
   SentHook sent_hook_;

@@ -1,17 +1,16 @@
-// Fixed-capacity FIFO ring buffer for the simulator's hot paths (VC flit
-// buffers, link flit/credit queues). Capacities are known up front (vc_depth,
-// link_latency + 1), so after construction the steady state performs no
-// allocation at all — unlike std::deque, whose chunked storage costs both
-// allocations and cache misses on the per-cycle push/pop pattern.
+// FIFO ring buffer for the link flit/credit queues. Capacities are known up
+// front (link_latency + 1 flits), so after construction the steady state
+// performs no allocation at all — unlike std::deque, whose chunked storage
+// costs both allocations and cache misses on the per-cycle push/pop pattern.
 //
-// Growth is still supported (doubling) so unusual configurations degrade to
-// correct-but-slower instead of failing; the drop-in std::deque subset
-// (front / push_back / pop_front / size / empty / clear) keeps call sites and
-// tests unchanged.
+// Growth is still supported (doubling): a decommission or purge can return
+// a burst of credits on one link in a single cycle. The API is the
+// std::deque subset (front / push_back / pop_front / size / empty / clear).
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/types.hpp"
@@ -86,7 +85,9 @@ class RingBuffer {
 
   void pop_front() {
     require(count_ > 0, "RingBuffer::pop_front: empty");
-    buf_[head_] = T{};  // Drop payload references eagerly.
+    // Drop payload references eagerly; plain data is simply overwritten by
+    // a later push, so its slot stays readable until then.
+    if constexpr (!std::is_trivially_copyable_v<T>) buf_[head_] = T{};
     head_ = (head_ + 1) & mask_;
     --count_;
   }

@@ -9,42 +9,27 @@ Router::Router(NodeId id, const MeshDims& dims, const RouterConfig& cfg)
     : id_(id),
       dims_(dims),
       cfg_(cfg),
+      // The allocators arbitrate on bitmasks: VA stage 2 packs every input
+      // VC of the router into one 64-bit request mask, so the VC store
+      // rejects more than 12 VCs per port.
+      in_(kMeshPorts, cfg.vcs, cfg.vc_depth),
+      out_vcs_(kMeshPorts, cfg.vcs, cfg.vc_depth),
       faults_({kMeshPorts, cfg.vcs, cfg.vnets}),
       va_(kMeshPorts, cfg.vcs, cfg.mode, cfg.vnets),
       sa_(kMeshPorts, cfg.vcs, cfg.mode, cfg.default_winner_epoch),
-      xb_(kMeshPorts, cfg.mode),
-      rc_rr_(kMeshPorts, 0) {
+      xb_(kMeshPorts, cfg.mode) {
   require(id >= 0 && id < dims.nodes(), "Router: id outside mesh");
-  require(cfg.vcs >= 1 && cfg.vc_depth >= 1, "Router: bad VC config");
-  // The allocators arbitrate on bitmasks; VA stage 2 packs every input VC
-  // of the router into one 64-bit request mask.
-  require(kMeshPorts * cfg.vcs <= 64,
-          "Router: at most 12 VCs per port (allocator request masks)");
-  inputs_.reserve(kMeshPorts);
-  // SA grants at most one input VC per output port, so kMeshPorts bounds
-  // st_pending_; reserving here keeps the per-cycle push_backs in
-  // SwitchAllocator::step growth-free (hotpath-alloc rule).
-  st_pending_.reserve(kMeshPorts);
-  for (int p = 0; p < kMeshPorts; ++p)
-    inputs_.emplace_back(cfg.vcs, cfg.vc_depth);
-  vc_masks_ = std::make_unique<RouterVcMasks>();
-  for (int p = 0; p < kMeshPorts; ++p)
-    inputs_[static_cast<std::size_t>(p)].set_mask_sink(vc_masks_.get(), p);
-  out_vcs_.assign(kMeshPorts, std::vector<OutVcState>(
-                                  static_cast<std::size_t>(cfg.vcs),
-                                  OutVcState{false, cfg.vc_depth}));
-  in_links_.assign(kMeshPorts, nullptr);
-  out_links_.assign(kMeshPorts, nullptr);
+  coord_ = dims.coord_of(id);
 }
 
 void Router::attach_input(int port, Link* link) {
   require(port >= 0 && port < kMeshPorts, "Router::attach_input: bad port");
-  in_links_[static_cast<std::size_t>(port)] = link;
+  in_links_[port] = link;
 }
 
 void Router::attach_output(int port, Link* link) {
   require(port >= 0 && port < kMeshPorts, "Router::attach_output: bad port");
-  out_links_[static_cast<std::size_t>(port)] = link;
+  out_links_[port] = link;
 }
 
 void Router::set_routing_tables(const FaultAwareTables* tables) {
@@ -56,10 +41,7 @@ void Router::decommission(Cycle now) {
   dead_ = true;
   // Cancel pending switch traversals: SA already consumed a downstream
   // credit for each grant, and the flit will never be sent, so refund it.
-  for (const StGrant& g : st_pending_)
-    ++out_vcs_[static_cast<std::size_t>(g.out_port)]
-              [static_cast<std::size_t>(g.out_vc)]
-          .credits;
+  for (const StGrant& g : st_pending_) ++out_vcs_.credits(g.out_port, g.out_vc);
   st_pending_.clear();
   // Purge every buffered flit, returning its credit upstream (naming the
   // logical VC the upstream targeted) so neighbour flow control stays
@@ -68,9 +50,8 @@ void Router::decommission(Cycle now) {
   // strategy consumes the truncated_ record below for a targeted
   // reclamation sweep (it has no barrier).
   for (int p = 0; p < kMeshPorts; ++p) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
     for (int v = 0; v < cfg_.vcs; ++v) {
-      VirtualChannel& vc = ip.vc(v);
+      VirtualChannel& vc = in_.vc(p, v);
       // The head is already beyond this router exactly when the VC reached
       // Active and the head is no longer at the buffer front (Routing and
       // VcAlloc hold it at the front; an empty Active VC forwarded it all).
@@ -78,13 +59,12 @@ void Router::decommission(Cycle now) {
           (vc.buffer.empty() || !vc.buffer.front().is_head()))
         truncated_.push_back({vc.packet, vc.dst, vc.route, vc.out_vc});
       while (!vc.buffer.empty()) {
-        const Flit f = ip.pop_front(v);
-        if (Link* l = in_links_[static_cast<std::size_t>(p)])
-          l->push_credit({f.vc, f.is_tail()}, now);
+        const Flit& f = in_.pop_front(p, v);
+        if (Link* l = in_links_[p]) l->push_credit({f.vc, f.is_tail()}, now);
         ++stats_.flits_swallowed;
       }
       vc.reset_to_idle();
-      ip.refresh_vc(v);
+      in_.refresh(p, v);
     }
   }
 }
@@ -94,9 +74,8 @@ int Router::purge_unroutable(Cycle now) {
   has_unroutable_ = false;
   int purged = 0;
   for (int p = 0; p < kMeshPorts; ++p) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
     for (int v = 0; v < cfg_.vcs; ++v) {
-      VirtualChannel& vc = ip.vc(v);
+      VirtualChannel& vc = in_.vc(p, v);
       if (!vc.unroutable) continue;
       require(vc.state == VcState::Routing,
               "Router::purge_unroutable: flagged VC left Routing");
@@ -106,15 +85,14 @@ int Router::purge_unroutable(Cycle now) {
       // remainder is swallowed on arrival.
       bool tail_seen = false;
       while (!vc.buffer.empty()) {
-        const Flit f = ip.pop_front(v);
+        const Flit& f = in_.pop_front(p, v);
         tail_seen = f.is_tail();
-        if (Link* l = in_links_[static_cast<std::size_t>(p)])
-          l->push_credit({f.vc, f.is_tail()}, now);
+        if (Link* l = in_links_[p]) l->push_credit({f.vc, f.is_tail()}, now);
         ++stats_.flits_dropped;
       }
-      if (!tail_seen) ip.set_dropping(ip.logical_of(v));
+      if (!tail_seen) in_.set_dropping(p, in_.logical_of(p, v), true);
       vc.reset_to_idle();
-      ip.refresh_vc(v);
+      in_.refresh(p, v);
       ++purged;
     }
   }
@@ -125,43 +103,37 @@ int Router::purge_poisoned(const std::vector<PacketId>& ids, Cycle now,
                            std::vector<TruncatedStream>& downstream) {
   int purged = 0;
   for (int p = 0; p < kMeshPorts; ++p) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
     for (int v = 0; v < cfg_.vcs; ++v) {
-      VirtualChannel& vc = ip.vc(v);
+      VirtualChannel& vc = in_.vc(p, v);
       if (vc.state == VcState::Idle) continue;
       if (std::find(ids.begin(), ids.end(), vc.packet) == ids.end()) continue;
       if (vc.state == VcState::Active) {
         // Cancel the fragment's pending switch grant (SA consumed a
         // downstream credit for it) and release the downstream VC it holds
         // — its vc_free can never arrive, the tail died at the dead router.
-        for (std::size_t g = 0; g < st_pending_.size();) {
-          if (st_pending_[g].in_port == p && st_pending_[g].in_vc == v) {
-            ++out_vcs_[static_cast<std::size_t>(st_pending_[g].out_port)]
-                      [static_cast<std::size_t>(st_pending_[g].out_vc)]
-                  .credits;
-            st_pending_.erase(st_pending_.begin() +
-                              static_cast<std::ptrdiff_t>(g));
+        for (int g = 0; g < st_pending_.size();) {
+          const StGrant& sg = st_pending_[g];
+          if (sg.in_port == p && sg.in_vc == v) {
+            ++out_vcs_.credits(sg.out_port, sg.out_vc);
+            st_pending_.erase(g);
           } else {
             ++g;
           }
         }
-        out_vcs_[static_cast<std::size_t>(vc.route)]
-                [static_cast<std::size_t>(vc.out_vc)]
-            .allocated = false;
+        out_vcs_.set_allocated(vc.route, vc.out_vc, false);
         if (vc.buffer.empty() || !vc.buffer.front().is_head())
           downstream.push_back({vc.packet, vc.dst, vc.route, vc.out_vc});
       }
       while (!vc.buffer.empty()) {
-        const Flit f = ip.pop_front(v);
-        if (Link* l = in_links_[static_cast<std::size_t>(p)])
-          l->push_credit({f.vc, f.is_tail()}, now);
+        const Flit& f = in_.pop_front(p, v);
+        if (Link* l = in_links_[p]) l->push_credit({f.vc, f.is_tail()}, now);
         ++stats_.flits_dropped;
       }
       // Anything of this fragment still in flight from upstream (itself a
       // purged chain node, or the dead router) lands in the poison filter.
-      ip.arm_poison(ip.logical_of(v), vc.packet, now);
+      in_.arm_poison(p, in_.logical_of(p, v), vc.packet, now);
       vc.reset_to_idle();
-      ip.refresh_vc(v);
+      in_.refresh(p, v);
       ++purged;
     }
   }
@@ -169,114 +141,105 @@ int Router::purge_poisoned(const std::vector<PacketId>& ids, Cycle now,
 }
 
 void Router::reset_flow_state() {
-  for (auto& ip : inputs_) {
+  for (int p = 0; p < kMeshPorts; ++p) {
     for (int v = 0; v < cfg_.vcs; ++v) {
-      VirtualChannel& vc = ip.vc(v);
+      VirtualChannel& vc = in_.vc(p, v);
       require(vc.buffer.empty(),
               "Router::reset_flow_state: network not drained");
       vc.reset_to_idle();
-      ip.refresh_vc(v);
+      in_.refresh(p, v);
     }
   }
-  for (auto& port : out_vcs_)
-    for (auto& ov : port) ov = OutVcState{false, cfg_.vc_depth};
+  out_vcs_.reset();
   st_pending_.clear();
 }
 
-InputPort& Router::input_port(int p) {
+InputPort Router::input_port(int p) {
   require(p >= 0 && p < kMeshPorts, "Router::input_port: bad port");
-  return inputs_[static_cast<std::size_t>(p)];
+  return InputPort(in_, p);
 }
 
-const InputPort& Router::input_port(int p) const {
+const InputPort Router::input_port(int p) const {
   require(p >= 0 && p < kMeshPorts, "Router::input_port: bad port");
-  return inputs_[static_cast<std::size_t>(p)];
+  // The view is returned const: only read access escapes.
+  return InputPort(const_cast<VcStore&>(in_), p);
 }
 
-const OutVcState& Router::out_vc(int port, int vc) const {
+OutVcState Router::out_vc(int port, int vc) const {
   require(port >= 0 && port < kMeshPorts && vc >= 0 && vc < cfg_.vcs,
           "Router::out_vc: out of range");
-  return out_vcs_[static_cast<std::size_t>(port)][static_cast<std::size_t>(vc)];
+  return out_vcs_.get(port, vc);
 }
 
 int Router::buffered_flits() const {
   int n = 0;
-  for (const auto& ip : inputs_) n += ip.buffered_flits();
+  for (int p = 0; p < kMeshPorts; ++p) n += in_.buffered_flits(p);
   return n;
 }
 
-void Router::accept_flit_from(Link& l, int p, Cycle now) {
-  auto f = l.take_flit(now);
-  if (!f) return;
+void Router::accept_flit(Link& l, int p, const Flit& f, Cycle now) {
   if (dead_) {
     // Black hole: swallow the flit but return its credit at once, so
     // the upstream neighbour's flow control stays conserved.
-    l.push_credit({f->vc, f->is_tail()}, now);
+    l.push_credit({f.vc, f.is_tail()}, now);
     ++stats_.flits_swallowed;
-  } else if (inputs_[static_cast<std::size_t>(p)].dropping(f->vc)) {
+  } else if (in_.dropping(p, f.vc)) {
     // Remainder of a packet purge_unroutable dropped: the head is gone, so
     // swallow the stragglers with an immediate credit; the tail closes the
     // filter and frees the upstream VC (its credit carries vc_free).
-    l.push_credit({f->vc, f->is_tail()}, now);
-    if (f->is_tail()) inputs_[static_cast<std::size_t>(p)].clear_dropping(f->vc);
+    l.push_credit({f.vc, f.is_tail()}, now);
+    if (f.is_tail()) in_.set_dropping(p, f.vc, false);
     ++stats_.flits_dropped;
-  } else if (inputs_[static_cast<std::size_t>(p)].poison_swallow(*f)) {
+  } else if (in_.poison_swallow(p, f)) {
     // In-flight remnant of a fragment the reclamation sweep purged. No tail
     // will ever close this stream (it died at the dead router), so the
     // upstream allocation was released by the sweep itself; the credit here
     // only refunds the buffer slot.
-    l.push_credit({f->vc, f->is_tail()}, now);
+    l.push_credit({f.vc, f.is_tail()}, now);
     ++stats_.flits_dropped;
   } else {
-    inputs_[static_cast<std::size_t>(p)].write(*f);
+    in_.write(p, f);
     ++stats_.buffer_writes;
 #ifdef RNOC_TRACE
-    if (obs_ && f->is_head()) {
-      InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-      ip.vc(ip.physical_of(f->vc)).obs_arrived = now;
-      obs_->on_event(obs::EventKind::BufWrite, now, f->packet, id_, p,
-                     ip.physical_of(f->vc));
+    if (obs_ && f.is_head()) {
+      const int phys = in_.physical_of(p, f.vc);
+      in_.vc(p, phys).obs_arrived = now;
+      obs_->on_event(obs::EventKind::BufWrite, now, f.packet, id_, p, phys);
     }
 #endif
   }
 }
 
 void Router::drain_credits_from(Link& l, int p, Cycle now) {
-  while (auto c = l.take_credit(now)) {
-    auto& ov = out_vcs_[static_cast<std::size_t>(p)]
-                       [static_cast<std::size_t>(c->vc)];
-    ++ov.credits;
-    require(ov.credits <= cfg_.vc_depth,
+  l.drain_credits(now, [&](const Credit& c) {
+    std::int16_t& credits = out_vcs_.credits(p, c.vc);
+    ++credits;
+    require(credits <= cfg_.vc_depth,
             "Router: credit overflow (protocol violation)");
-    if (c->vc_free) ov.allocated = false;
-  }
+    if (c.vc_free) out_vcs_.set_allocated(p, c.vc, false);
+  });
 }
 
 void Router::step_accept(Cycle now) {
   for (int p = 0; p < kMeshPorts; ++p) {
-    if (Link* l = in_links_[static_cast<std::size_t>(p)])
-      accept_flit_from(*l, p, now);
-    if (Link* l = out_links_[static_cast<std::size_t>(p)])
-      drain_credits_from(*l, p, now);
+    if (Link* l = in_links_[p])
+      if (const Flit* f = l->arrive(now)) accept_flit(*l, p, *f, now);
+    if (Link* l = out_links_[p]) drain_credits_from(*l, p, now);
   }
 }
 
 Cycle Router::accept_flit_due(int p, Cycle now) {
-  Link* l = in_links_[static_cast<std::size_t>(p)];
+  Link* l = in_links_[p];
   if (l == nullptr) return kNeverCycle;
-  // The peek guard keeps spurious deliveries (an already-taken or retimed
-  // flit) side-effect free: a take_flit call whose peek lies in the future
-  // returns nullopt without side effects (the EccLink error roll only
-  // happens on an actual in-ring delivery, which the peek covers), so
-  // gating the call is exact and bit-identical to step_accept.
-  if (l->next_flit_ready() <= now) accept_flit_from(*l, p, now);
+  // A spurious delivery (an already-taken or retimed flit) finds nothing
+  // due and has no side effects: the ECC error roll only happens on an
+  // actual delivery. So this is bit-identical to step_accept.
+  if (const Flit* f = l->arrive(now)) accept_flit(*l, p, *f, now);
   return l->next_flit_ready();
 }
 
 void Router::drain_credits_due(int p, Cycle now) {
-  if (Link* l = out_links_[static_cast<std::size_t>(p)];
-      l && l->next_credit_ready() <= now)
-    drain_credits_from(*l, p, now);
+  if (Link* l = out_links_[p]) drain_credits_from(*l, p, now);
 }
 
 bool Router::step_cycle_event(Cycle now) {
@@ -295,13 +258,14 @@ bool Router::step_cycle_event(Cycle now) {
   //    Blocked/Unreachable retry repeats every cycle, like the sweep).
   bool progressed = !st_pending_.empty();
   if (progressed) step_st(now);
-  if (vc_masks_->ready_ports != 0) step_sa(now);
-  if (vc_masks_->vcalloc_ports != 0) {
+  const RouterVcMasks& masks = in_.masks();
+  if (masks.ready_ports != 0) step_sa(now);
+  if (masks.vcalloc_ports != 0) {
     const std::uint64_t va_before = stats_.va_allocations;
     step_va(now);
     progressed |= stats_.va_allocations != va_before;
   }
-  if (vc_masks_->routing_ports != 0) {
+  if (masks.routing_ports != 0) {
     step_rc(now);
     progressed = true;
   }
@@ -319,8 +283,7 @@ bool Router::step_cycle_event(Cycle now) {
 void Router::step_st(Cycle now) {
   if (dead_ || st_pending_.empty()) return;
   for (const StGrant& g : st_pending_) {
-    InputPort& ip = inputs_[static_cast<std::size_t>(g.in_port)];
-    VirtualChannel& vc = ip.vc(g.in_vc);
+    VirtualChannel& vc = in_.vc(g.in_port, g.in_vc);
     require(!vc.buffer.empty(), "Router::step_st: granted VC has no flit");
 
 #ifdef RNOC_TRACE
@@ -329,9 +292,7 @@ void Router::step_st(Cycle now) {
     if (!xb_.can_traverse(g, faults_)) {
       // A fault struck between SA and ST: cancel the traversal, refund the
       // credit; the flit re-arbitrates with the fault now visible.
-      ++out_vcs_[static_cast<std::size_t>(g.out_port)]
-                [static_cast<std::size_t>(g.out_vc)]
-            .credits;
+      ++out_vcs_.credits(g.out_port, g.out_vc);
       ++stats_.blocked_vc_cycles;
 #ifdef RNOC_TRACE
       if (obs_) {
@@ -354,16 +315,16 @@ void Router::step_st(Cycle now) {
       }
     }
 #endif
-    Flit f = ip.pop_front(g.in_vc);
-    if (Link* l = in_links_[static_cast<std::size_t>(g.in_port)])
-      l->push_credit({f.vc, f.is_tail()}, now);
-    const int out_vc = vc.out_vc;
+    // The flit leaves from its slab slot: credit upstream, rename to the
+    // downstream VC in place, and push.
+    Flit& f = in_.pop_front(g.in_port, g.in_vc);
+    if (Link* l = in_links_[g.in_port]) l->push_credit({f.vc, f.is_tail()}, now);
+    f.vc = vc.out_vc;
     if (f.is_tail()) {
       vc.reset_to_idle();
-      ip.refresh_vc(g.in_vc);
+      in_.refresh(g.in_port, g.in_vc);
     }
-    f.vc = out_vc;
-    Link* out = out_links_[static_cast<std::size_t>(g.out_port)];
+    Link* out = out_links_[g.out_port];
     require(out != nullptr, "Router::step_st: unwired output port");
     out->push_flit(f, now);
     ++stats_.flits_traversed;
@@ -373,20 +334,19 @@ void Router::step_st(Cycle now) {
 
 void Router::step_sa(Cycle now) {
   if (dead_) return;
-  sa_.step(now, inputs_, out_vcs_, faults_, *vc_masks_, stats_, st_pending_);
+  sa_.step(now, in_, out_vcs_, faults_, stats_, st_pending_);
 }
 
 void Router::step_va(Cycle now) {
   if (dead_) return;
-  va_.step(now, inputs_, out_vcs_, faults_, *vc_masks_, stats_);
+  va_.step(now, in_, out_vcs_, faults_, stats_);
 }
 
-void Router::rebuild_vc_masks() { *vc_masks_ = fresh_vc_masks(); }
+void Router::rebuild_vc_masks() { in_.rebuild_masks(); }
 
 int Router::free_credits(int out) const {
   int total = 0;
-  for (const auto& ov : out_vcs_[static_cast<std::size_t>(out)])
-    total += ov.credits;
+  for (int v = 0; v < cfg_.vcs; ++v) total += out_vcs_.credits(out, v);
   return total;
 }
 
@@ -447,8 +407,7 @@ RcOutcome Router::compute_route(VirtualChannel& vc, const Flit& head,
     if (sh_ != nullptr && sh_->active()) {
       const FaultAwareTables* esc = sh_->escape_tables();
       const bool on_escape_vc =
-          inputs_[static_cast<std::size_t>(in_port)].logical_of(in_phys) ==
-          sh_->escape_vc();
+          in_.logical_of(in_port, in_phys) == sh_->escape_vc();
       if (on_escape_vc && esc != nullptr) {
         // Escape discipline (Duato): a packet that arrived on the escape VC
         // stays on the west-first escape network until delivery. While a
@@ -533,7 +492,7 @@ RcOutcome Router::compute_route(VirtualChannel& vc, const Flit& head,
       candidates[j] = cand;
     }
   } else {
-    candidates[ncand++] = xy_route(dims_, id_, head.dst);
+    candidates[ncand++] = xy_route(coord_, dims_.coord_of(head.dst));
   }
 
   // Commit the first candidate whose crossbar path works; adaptivity thus
@@ -552,13 +511,12 @@ void Router::step_rc(Cycle now) {
   // round-robin over the VCs waiting in Routing state. A port with no
   // Routing VC does nothing (the round-robin pointer only moves when a VC
   // is served), so only ports in the routing mask are visited.
-  for (std::uint32_t pm = vc_masks_->routing_ports; pm != 0; pm &= pm - 1) {
+  for (std::uint32_t pm = in_.masks().routing_ports; pm != 0; pm &= pm - 1) {
     const int p = std::countr_zero(pm);
-    InputPort& ip = inputs_[static_cast<std::size_t>(p)];
-    int& ptr = rc_rr_[static_cast<std::size_t>(p)];
+    int& ptr = rc_rr_[p];
 #ifdef RNOC_TRACE
     if (obs_) {
-      const int routing_vcs = std::popcount(vc_masks_->routing[p]);
+      const int routing_vcs = std::popcount(in_.masks().routing[p]);
       obs_->metrics().add_request(id_, obs::Stage::Rc,
                                   static_cast<std::uint64_t>(routing_vcs));
       // The single per-port RC unit serves exactly one VC; the rest never
@@ -572,14 +530,14 @@ void Router::step_rc(Cycle now) {
     for (int i = 0; i < cfg_.vcs; ++i) {
       int v = ptr + i;
       if (v >= cfg_.vcs) v -= cfg_.vcs;
-      VirtualChannel& vc = ip.vc(v);
+      VirtualChannel& vc = in_.vc(p, v);
       if (vc.state != VcState::Routing) continue;
       require(!vc.buffer.empty() && vc.buffer.front().is_head(),
               "Router::step_rc: Routing VC without a head flit");
       const RcOutcome outcome = compute_route(vc, vc.buffer.front(), p, v, now);
       if (outcome == RcOutcome::Granted) {
         vc.state = VcState::VcAlloc;
-        ip.refresh_vc(v);
+        in_.refresh(p, v);
 #ifdef RNOC_TRACE
         if (obs_) {
           obs_->metrics().add_grant(id_, obs::Stage::Rc);
@@ -607,15 +565,14 @@ void Router::step_rc(Cycle now) {
 }
 
 void Router::reset_for_run() {
-  for (auto& ip : inputs_) ip.reset_for_run();
-  for (auto& port : out_vcs_)
-    for (auto& ov : port) ov = OutVcState{false, cfg_.vc_depth};
+  in_.reset_for_run();
+  out_vcs_.reset();
   faults_ = fault::RouterFaultState({kMeshPorts, cfg_.vcs, cfg_.vnets});
   route_tables_ = nullptr;
   has_unroutable_ = false;
   va_.reset_for_run();
   sa_.reset_for_run();
-  std::fill(rc_rr_.begin(), rc_rr_.end(), 0);
+  std::fill(std::begin(rc_rr_), std::end(rc_rr_), 0);
   st_pending_.clear();
   truncated_.clear();
   stats_ = RouterStats{};

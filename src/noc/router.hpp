@@ -12,7 +12,7 @@
 // link this gives the canonical 4-stage-pipeline hop latency.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/protection.hpp"
@@ -104,17 +104,18 @@ class Router {
   /// The incrementally maintained VC-state masks, and the same masks
   /// recomputed from the VCs' current states (the two must always agree;
   /// the invariant checker compares them every cycle).
-  const RouterVcMasks& vc_masks() const { return *vc_masks_; }
-  RouterVcMasks fresh_vc_masks() const { return compute_vc_masks(inputs_); }
+  const RouterVcMasks& vc_masks() const { return in_.masks(); }
+  RouterVcMasks fresh_vc_masks() const { return in_.compute_masks(); }
 
   /// Delivery-event entry points (event core): called by the Mesh when a
   /// link's scheduled delivery cycle arrives, instead of scanning every
-  /// port's links. accept_flit_due takes at most one ready flit from input
-  /// port `p` (exactly what one step_accept visit does) and returns the
-  /// link's next ready cycle afterwards, so the Mesh can reschedule when a
-  /// further flit is already waiting behind the one just taken (kNeverCycle
-  /// when none). drain_credits_due drains every ready credit from output
-  /// port `p`'s return link.
+  /// port's links. accept_flit_due writes at most one arrived flit from
+  /// input port `p`'s link straight into its VC (exactly what one
+  /// step_accept visit does) and returns the link's next ready cycle
+  /// afterwards, so the Mesh can reschedule when a further flit is already
+  /// waiting behind the one just taken (kNeverCycle when none).
+  /// drain_credits_due applies exactly the credits that have arrived on
+  /// output port `p`'s return link.
   Cycle accept_flit_due(int p, Cycle now);
   void drain_credits_due(int p, Cycle now);
 
@@ -214,21 +215,24 @@ class Router {
   void reset_flow_state();
 
   const RouterStats& stats() const { return stats_; }
-  InputPort& input_port(int p);
-  const InputPort& input_port(int p) const;
-  const OutVcState& out_vc(int port, int vc) const;
+  /// View of input port `p` of this router's flat VC state.
+  InputPort input_port(int p);
+  const InputPort input_port(int p) const;
+  OutVcState out_vc(int port, int vc) const;
 
   /// Switch-traversal grants issued by this cycle's SA stage, consumed by
   /// the next cycle's ST stage (invariant checking / diagnostics).
-  const std::vector<StGrant>& pending_grants() const { return st_pending_; }
+  std::span<const StGrant> pending_grants() const {
+    return {st_pending_.begin(), st_pending_.end()};
+  }
 
 #ifdef RNOC_INVARIANTS
   /// Test-only corruption hook (invariant-checked builds): skews an output
   /// VC's credit counter by `delta`, so directed tests can break credit
   /// conservation and assert the NocChecker catches it.
   void test_corrupt_credit(int port, int vc, int delta) {
-    out_vcs_[static_cast<std::size_t>(port)][static_cast<std::size_t>(vc)]
-        .credits += delta;
+    out_vcs_.credits(port, vc) =
+        static_cast<std::int16_t>(out_vcs_.credits(port, vc) + delta);
   }
 #endif
 
@@ -255,22 +259,19 @@ class Router {
   /// over every input port.
   bool has_pending_work() const {
     if (!st_pending_.empty()) return true;
-    return (vc_masks_->routing_ports | vc_masks_->vcalloc_ports |
-            vc_masks_->ready_ports) != 0;
+    const RouterVcMasks& m = in_.masks();
+    return (m.routing_ports | m.vcalloc_ports | m.ready_ports) != 0;
   }
 
   /// Shared accounting sink for this router's input buffers (set by the
   /// Mesh); nullptr = standalone use.
-  void set_counters(NetCounters* c) {
-    for (auto& ip : inputs_) ip.set_counters(c);
-  }
+  void set_counters(NetCounters* c) { in_.set_counters(c); }
 
  private:
-  friend class RouterTestPeer;
-
   /// Shared bodies of step_accept / accept_flit_due / drain_credits_due:
-  /// processing of one taken flit and one output link's credit drain.
-  void accept_flit_from(Link& l, int p, Cycle now);
+  /// buffer-write (or swallow) of one arrived flit, and one output link's
+  /// credit drain.
+  void accept_flit(Link& l, int p, const Flit& f, Cycle now);
   void drain_credits_from(Link& l, int p, Cycle now);
 
   /// Route computation for one head flit, including the SP/FSP secondary
@@ -290,14 +291,19 @@ class Router {
 
   NodeId id_;
   MeshDims dims_;
+  Coord coord_;  ///< This router's mesh coordinate (XY routing).
   RouterConfig cfg_;
-  /// VC pipeline-state masks the SA/VA/RC stages iterate. Heap-allocated so
-  /// the input ports' sink pointers survive a Router move.
-  std::unique_ptr<RouterVcMasks> vc_masks_;
-  std::vector<InputPort> inputs_;
-  std::vector<std::vector<OutVcState>> out_vcs_;  ///< [port][logical vc]
-  std::vector<Link*> in_links_;
-  std::vector<Link*> out_links_;
+  // Touched on every stepped cycle: kept next to the VC-state masks at the
+  // front of in_.
+  bool dead_ = false;
+  GrantSet st_pending_;
+  RouterStats stats_;
+  /// Input VC state, flat: VC records, flit slab, logical maps, filters and
+  /// the pipeline-state masks the SA/VA/RC stages iterate.
+  VcStore in_;
+  OutVcTable out_vcs_;  ///< Downstream credits and allocated sets.
+  Link* in_links_[kMeshPorts]{};
+  Link* out_links_[kMeshPorts]{};
   fault::RouterFaultState faults_;
   const FaultAwareTables* route_tables_ = nullptr;
   const SelfHealNet* sh_ = nullptr;
@@ -305,11 +311,8 @@ class Router {
   VcAllocator va_;
   SwitchAllocator sa_;
   Crossbar xb_;
-  std::vector<int> rc_rr_;  ///< Per-port RC round-robin pointer over VCs.
-  std::vector<StGrant> st_pending_;
+  int rc_rr_[kMeshPorts]{};  ///< Per-port RC round-robin pointer over VCs.
   std::vector<TruncatedStream> truncated_;  ///< See take_truncated().
-  RouterStats stats_;
-  bool dead_ = false;
 #ifdef RNOC_TRACE
   obs::Observer* obs_ = nullptr;
 #endif

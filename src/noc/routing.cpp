@@ -4,8 +4,6 @@
 
 namespace rnoc::noc {
 
-int port_of(Direction d) { return static_cast<int>(d); }
-
 Direction direction_of(int port) {
   require(port >= 0 && port < kMeshPorts, "direction_of: bad port");
   return static_cast<Direction>(port);
@@ -33,11 +31,6 @@ int opposite_port(int port) {
   unreachable("opposite_port: unhandled Direction");
 }
 
-Coord MeshDims::coord_of(NodeId n) const {
-  require(n >= 0 && n < nodes(), "MeshDims::coord_of: node out of range");
-  return {static_cast<int>(n) % x, static_cast<int>(n) / x};
-}
-
 NodeId MeshDims::node_of(Coord c) const {
   require(contains(c), "MeshDims::node_of: coord out of range");
   return static_cast<NodeId>(c.y * x + c.x);
@@ -45,16 +38,6 @@ NodeId MeshDims::node_of(Coord c) const {
 
 bool MeshDims::contains(Coord c) const {
   return c.x >= 0 && c.x < x && c.y >= 0 && c.y < y;
-}
-
-int xy_route(const MeshDims& dims, NodeId current, NodeId dst) {
-  const Coord cur = dims.coord_of(current);
-  const Coord d = dims.coord_of(dst);
-  if (cur.x < d.x) return port_of(Direction::East);
-  if (cur.x > d.x) return port_of(Direction::West);
-  if (cur.y < d.y) return port_of(Direction::South);
-  if (cur.y > d.y) return port_of(Direction::North);
-  return port_of(Direction::Local);
 }
 
 int xy_hops(const MeshDims& dims, NodeId src, NodeId dst) {

@@ -20,7 +20,7 @@ enum class Direction : int {
 
 inline constexpr int kMeshPorts = 5;
 
-int port_of(Direction d);
+constexpr int port_of(Direction d) { return static_cast<int>(d); }
 Direction direction_of(int port);
 std::string direction_name(int port);
 
@@ -34,7 +34,10 @@ struct MeshDims {
   int y = 8;
 
   int nodes() const { return x * y; }
-  Coord coord_of(NodeId n) const;
+  Coord coord_of(NodeId n) const {
+    require(n >= 0 && n < nodes(), "MeshDims::coord_of: node out of range");
+    return {static_cast<int>(n) % x, static_cast<int>(n) / x};
+  }
   NodeId node_of(Coord c) const;
   bool contains(Coord c) const;
 
@@ -43,8 +46,19 @@ struct MeshDims {
 
 /// Dimension-order XY routing: correct X (East/West) first, then Y
 /// (North/South), then eject at Local. Deadlock-free on a mesh.
-/// Returns the output port at `current` toward `dst`.
-int xy_route(const MeshDims& dims, NodeId current, NodeId dst);
+/// Returns the output port at coordinate `cur` toward coordinate `dst`.
+inline int xy_route(Coord cur, Coord dst) {
+  if (cur.x < dst.x) return port_of(Direction::East);
+  if (cur.x > dst.x) return port_of(Direction::West);
+  if (cur.y < dst.y) return port_of(Direction::South);
+  if (cur.y > dst.y) return port_of(Direction::North);
+  return port_of(Direction::Local);
+}
+
+/// xy_route between node ids.
+inline int xy_route(const MeshDims& dims, NodeId current, NodeId dst) {
+  return xy_route(dims.coord_of(current), dims.coord_of(dst));
+}
 
 /// Number of hops an XY-routed packet takes (Manhattan distance).
 int xy_hops(const MeshDims& dims, NodeId src, NodeId dst);

@@ -49,9 +49,9 @@ Simulator::Simulator(const SimConfig& cfg,
       // The reliability layer sees every delivery first; a duplicate from a
       // retransmission is acknowledged but hidden from the traffic model.
       if (degraded_ && !degraded_->on_delivered(tail, now)) return;
-      std::vector<traffic::Response> responses;
-      traffic_->on_delivered(tail, n, now, resp_rng_, responses);
-      for (auto& r : responses)
+      responses_.clear();
+      traffic_->on_delivered(tail, n, now, resp_rng_, responses_);
+      for (auto& r : responses_)
         pending_responses_.push(std::max(r.ready, now + 1), std::move(r));
     });
   }

@@ -116,6 +116,9 @@ class Simulator {
   /// cycles (EventQueue's seq tie-break), so runs reproduce across
   /// standard libraries.
   EventQueue<traffic::Response> pending_responses_;
+  /// Scratch the delivery hook hands to the traffic model, reused across
+  /// deliveries so a delivered tail allocates nothing.
+  std::vector<traffic::Response> responses_;
   /// Event core: per-node next-injection events, tie-broken by node id so
   /// same-cycle injections enqueue in the sweep's ascending-node order.
   EventQueue<NodeId> traffic_events_;

@@ -17,9 +17,12 @@ constexpr int V = 4;
 
 struct AllocRig {
   explicit AllocRig(RouterMode mode = RouterMode::Protected)
-      : faults({P, V}), va(P, V, mode), sa(P, V, mode, 1000) {
-    for (int p = 0; p < P; ++p) inputs.emplace_back(V, 4);
-    out_vcs.assign(P, std::vector<OutVcState>(V, OutVcState{false, 4}));
+      : store(P, V, 4),
+        out(P, V, 4),
+        faults({P, V}),
+        va(P, V, mode),
+        sa(P, V, mode, 1000) {
+    for (int p = 0; p < P; ++p) inputs.emplace_back(store, p);
   }
 
   /// Puts a head flit into (port, vc) already routed toward `route`,
@@ -33,7 +36,7 @@ struct AllocRig {
     inputs[static_cast<std::size_t>(port)].write(f);
     VirtualChannel& ch = inputs[static_cast<std::size_t>(port)].vc(vc);
     ch.state = VcState::VcAlloc;
-    ch.route = route;
+    ch.route = static_cast<std::int8_t>(route);
     return ch;
   }
 
@@ -41,26 +44,27 @@ struct AllocRig {
   VirtualChannel& stage_active(int port, int vc, int route, int out_vc) {
     VirtualChannel& ch = stage_vcalloc(port, vc, route);
     ch.state = VcState::Active;
-    ch.out_vc = out_vc;
-    out_vcs[static_cast<std::size_t>(route)][static_cast<std::size_t>(out_vc)]
-        .allocated = true;
+    ch.out_vc = static_cast<std::int8_t>(out_vc);
+    out.set_allocated(route, out_vc, true);
     return ch;
   }
 
-  // The staged VCs bypass the router's mask upkeep, so each run derives the
+  // The staged VCs bypass the store's mask upkeep, so each run derives the
   // VC-state masks from scratch, as the FullSweep oracle does.
   void run_va(Cycle now = 0) {
-    va.step(now, inputs, out_vcs, faults, compute_vc_masks(inputs), stats);
+    store.rebuild_masks();
+    va.step(now, store, out, faults, stats);
   }
   std::vector<StGrant> run_sa(Cycle now = 0) {
-    std::vector<StGrant> grants;
-    sa.step(now, inputs, out_vcs, faults, compute_vc_masks(inputs), stats,
-            grants);
-    return grants;
+    store.rebuild_masks();
+    GrantSet grants;
+    sa.step(now, store, out, faults, stats, grants);
+    return {grants.begin(), grants.end()};
   }
 
-  std::vector<InputPort> inputs;
-  std::vector<std::vector<OutVcState>> out_vcs;
+  VcStore store;
+  std::vector<InputPort> inputs;  ///< Views of the store's ports.
+  OutVcTable out;
   fault::RouterFaultState faults;
   RouterStats stats;
   VcAllocator va;
@@ -75,12 +79,12 @@ TEST(VcAllocatorUnit, GrantsEmptyDownstreamVc) {
   rig.run_va();
   EXPECT_EQ(ch.state, VcState::Active);
   EXPECT_GE(ch.out_vc, 0);
-  EXPECT_TRUE(rig.out_vcs[2][static_cast<std::size_t>(ch.out_vc)].allocated);
+  EXPECT_TRUE(rig.out.allocated(2, ch.out_vc));
 }
 
 TEST(VcAllocatorUnit, SkipsAllocatedDownstreamVcs) {
   AllocRig rig;
-  for (int u = 0; u < 3; ++u) rig.out_vcs[2][static_cast<std::size_t>(u)].allocated = true;
+  for (int u = 0; u < 3; ++u) rig.out.set_allocated(2, u, true);
   VirtualChannel& ch = rig.stage_vcalloc(0, 0, 2);
   rig.run_va();
   EXPECT_EQ(ch.out_vc, 3);
@@ -88,7 +92,7 @@ TEST(VcAllocatorUnit, SkipsAllocatedDownstreamVcs) {
 
 TEST(VcAllocatorUnit, NoEmptyDownstreamVcMeansNoGrant) {
   AllocRig rig;
-  for (int u = 0; u < V; ++u) rig.out_vcs[2][static_cast<std::size_t>(u)].allocated = true;
+  for (int u = 0; u < V; ++u) rig.out.set_allocated(2, u, true);
   VirtualChannel& ch = rig.stage_vcalloc(0, 0, 2);
   rig.run_va();
   EXPECT_EQ(ch.state, VcState::VcAlloc);  // still waiting
@@ -185,13 +189,13 @@ TEST(SwitchAllocatorUnit, GrantsActiveVcWithCredits) {
   EXPECT_EQ(grants[0].out_port, 2);
   EXPECT_EQ(grants[0].mux, 2);
   EXPECT_EQ(grants[0].out_vc, 1);
-  EXPECT_EQ(rig.out_vcs[2][1].credits, 3);  // decremented
+  EXPECT_EQ(rig.out.credits(2, 1), 3);  // decremented
 }
 
 TEST(SwitchAllocatorUnit, NoCreditNoGrant) {
   AllocRig rig;
   rig.stage_active(0, 0, 2, 1);
-  rig.out_vcs[2][1].credits = 0;
+  rig.out.credits(2, 1) = 0;
   EXPECT_TRUE(rig.run_sa().empty());
 }
 
