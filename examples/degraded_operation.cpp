@@ -51,15 +51,15 @@ struct Rig {
     ++clock;
     for (Cycle end = clock + 40; clock < end; ++clock) {
       step(clock);
-      if (out[static_cast<std::size_t>(port_of(out_dir))]->take_flit(clock)) {
+      if (out[static_cast<std::size_t>(port_of(out_dir))]->arrive(clock)) {
         const Cycle arrival = clock;
         ++clock;
         return arrival;
       }
       // Recycle credits so repeated shots never stall on flow control.
       for (int p = 0; p < kMeshPorts; ++p)
-        while (in[static_cast<std::size_t>(p)]->take_credit(clock)) {
-        }
+        in[static_cast<std::size_t>(p)]->drain_credits(clock,
+                                                       [](const Credit&) {});
     }
     return std::nullopt;
   }

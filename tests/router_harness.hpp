@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "link_take.hpp"
 #include "noc/router.hpp"
 
 namespace rnoc::noc::testing {
@@ -55,11 +56,11 @@ class RouterHarness {
   }
 
   std::optional<Flit> recv(int port, Cycle now) {
-    return out[static_cast<std::size_t>(port)]->take_flit(now);
+    return take_flit(*out[static_cast<std::size_t>(port)], now);
   }
 
-  std::optional<Credit> recv_credit(int port, Cycle now) {
-    return in[static_cast<std::size_t>(port)]->take_credit(now);
+  std::vector<Credit> recv_credits(int port, Cycle now) {
+    return take_credits(*in[static_cast<std::size_t>(port)], now);
   }
 
   /// Feeds a credit back as if the downstream router consumed a flit.

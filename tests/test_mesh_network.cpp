@@ -2,10 +2,14 @@
 // control across routers, end-to-end delivery.
 #include <gtest/gtest.h>
 
+#include "link_take.hpp"
 #include "noc/mesh.hpp"
 
 namespace rnoc::noc {
 namespace {
+
+using testing::take_flit;
+using testing::take_credits;
 
 Flit flit_of(PacketId id, NodeId src, NodeId dst, int vc) {
   Flit f;
@@ -20,26 +24,26 @@ Flit flit_of(PacketId id, NodeId src, NodeId dst, int vc) {
 TEST(Link, LatencyOneCycle) {
   Link l(1);
   l.push_flit(flit_of(1, 0, 1, 0), 10);
-  EXPECT_FALSE(l.take_flit(10).has_value());
-  const auto f = l.take_flit(11);
+  EXPECT_FALSE(take_flit(l, 10).has_value());
+  const auto f = take_flit(l, 11);
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->packet, 1u);
-  EXPECT_FALSE(l.take_flit(12).has_value());
+  EXPECT_FALSE(take_flit(l, 12).has_value());
 }
 
 TEST(Link, ConfigurableLatency) {
   Link l(3);
   l.push_flit(flit_of(1, 0, 1, 0), 0);
-  EXPECT_FALSE(l.take_flit(2).has_value());
-  EXPECT_TRUE(l.take_flit(3).has_value());
+  EXPECT_FALSE(take_flit(l, 2).has_value());
+  EXPECT_TRUE(take_flit(l, 3).has_value());
 }
 
 TEST(Link, PreservesOrder) {
   Link l(1);
   l.push_flit(flit_of(1, 0, 1, 0), 0);
   l.push_flit(flit_of(2, 0, 1, 0), 1);
-  EXPECT_EQ(l.take_flit(2)->packet, 1u);
-  EXPECT_EQ(l.take_flit(2)->packet, 2u);
+  EXPECT_EQ(take_flit(l, 2)->packet, 1u);
+  EXPECT_EQ(take_flit(l, 2)->packet, 2u);
 }
 
 TEST(Link, RejectsTwoFlitsPerCycle) {
@@ -51,11 +55,11 @@ TEST(Link, RejectsTwoFlitsPerCycle) {
 TEST(Link, CreditsTravelIndependently) {
   Link l(1);
   l.push_credit({2, true}, 7);
-  EXPECT_FALSE(l.take_credit(7).has_value());
-  const auto c = l.take_credit(8);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->vc, 2);
-  EXPECT_TRUE(c->vc_free);
+  EXPECT_TRUE(take_credits(l, 7).empty());
+  const auto c = take_credits(l, 8);
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].vc, 2);
+  EXPECT_TRUE(c[0].vc_free);
 }
 
 TEST(Link, IdleTracksOccupancy) {
@@ -63,7 +67,7 @@ TEST(Link, IdleTracksOccupancy) {
   EXPECT_TRUE(l.idle());
   l.push_flit(flit_of(1, 0, 1, 0), 0);
   EXPECT_FALSE(l.idle());
-  (void)l.take_flit(1);
+  (void)take_flit(l, 1);
   EXPECT_TRUE(l.idle());
 }
 

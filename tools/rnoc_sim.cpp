@@ -36,8 +36,8 @@ void usage() {
   std::printf(
       "rnoc_sim — cycle-accurate reliable-NoC simulator\n\n"
       "  --mesh WxH            mesh size (default 8x8)\n"
-      "  --vcs N               virtual channels per port (default 4)\n"
-      "  --depth N             flits per VC buffer (default 4)\n"
+      "  --vcs N               virtual channels per port (default 4, max 12)\n"
+      "  --depth N             flits per VC buffer (default 4, max 32767)\n"
       "  --mode M              protected | baseline (default protected)\n"
       "  --routing R           xy | oddeven (default xy)\n"
       "  --vnets N             virtual networks (default 1; must divide vcs)\n"
